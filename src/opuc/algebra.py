@@ -521,9 +521,9 @@ def _exact_divide(f, g):
 
     terms = {}
     for k, c in quot.items():
-        m = tuple((variables[i], k[i] + shift_g[i] - shift_f[i])
+        m = tuple((variables[i], k[i] + shift_f[i] - shift_g[i])
                   for i in range(nv)
-                  if k[i] + shift_g[i] - shift_f[i] != 0)
+                  if k[i] + shift_f[i] - shift_g[i] != 0)
         terms[(m, 0)] = c
     return ExactScalar(terms, tsq)
 

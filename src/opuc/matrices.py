@@ -1,11 +1,12 @@
 """Matrix views of the moment recursions, plus the determinant identities.
 
-The one-step transfer matrix has the unit-width step weights as entries,
-so its n-th power tabulates generalized moments.  The same walk factors
-into a product of two-band matrices built from 2x2 blocks, one factor
-per column of the parity-constrained model.  Both evaluators truncate
-the infinite operators; the truncation bound comes from the path height
-bound and is exercised by a grow-the-dimension test.
+The (r, s) entry of the n-th power of the one-step transfer matrix U is
+a generalized moment, and so is the (r, s) entry of a product of
+two-band factors built from 2x2 blocks, one per column of the parity
+model.  Only row r is read, so both routes walk a row vector: O(n*d^2)
+on the Hessenberg U, O(d) per factor and O(n*d) in all for the blocks,
+with d = r + n + 1.  Sums keep the order of `ScalarMatrix.__mul__`, so
+a walk equals the entry of the dense product exactly.
 
 Determinants are taken by fraction-free elimination, which is exact over
 the symbolic coefficient ring and also serves the numeric mode.
@@ -71,58 +72,56 @@ class ScalarMatrix:
 
 
 # ---------------------------------------------------------------------------
-# transfer matrix and its powers
+# transfer matrix and its row walk
 
 
 def build_U(vs, dim):
     """One-step transfer matrix: entry (i, j) is the i -> j step weight."""
     if dim < 1:
         raise ValueError("dimension must be >= 1")
+    bars = [vs.alpha_bar(j) for j in range(-1, dim - 1)]
+    rhos = [vs.rho(j) for j in range(dim - 1)]
     rows = []
     for i in range(dim):
         row = [vs.zero()] * dim
         if i + 1 < dim:
             row[i + 1] = vs.one()
-        prod = vs.one()
+        neg, prod = -vs.alpha(i), vs.one()
         for j in range(i, -1, -1):
-            row[j] = -vs.alpha(i) * vs.alpha_bar(j - 1) * prod
+            row[j] = neg * bars[j] * prod
             if j:
-                prod = vs.rho(j - 1) * prod
+                prod = rhos[j - 1] * prod
         rows.append(row)
     return ScalarMatrix(rows)
-
-
-def u_power_matrix(vs, n, dim):
-    """n-th power of the transfer matrix at a fixed truncation."""
-    key = ("u_pows", dim)
-    mats = vs.cache.get(key)
-    if mats is None:
-        mats = [ScalarMatrix.identity(dim, vs.one(), vs.zero())]
-        vs.cache[key] = mats
-    if n >= 1 and len(mats) == 1:
-        mats.append(build_U(vs, dim))
-    while len(mats) <= n:
-        mats.append(mats[-1] * mats[1])
-    return mats[n]
 
 
 def u_power_entry(vs, n, r, s):
     """Generalized moment as the (r, s) entry of the n-th transfer power.
 
-    Truncating at dimension r + n + 1 is enough: a walk from height r
-    with n unit-width steps stays below that.  A larger cached dimension
-    is reused unchanged, which the truncation-sufficiency test backs.
+    The row vector e_r is multiplied by U n times; the last product
+    needs column s alone.  Truncating at dimension r + n + 1 is enough: a
+    walk from height r with n unit-width steps stays below that.
     """
     if min(n, r, s) < 0:
         raise ValueError("indices must be nonnegative")
-    need = r + n + 1
-    if s >= need:
-        return vs.zero()
-    dim = vs.cache.get(("u_dim",), 0)
-    if dim < need:
-        dim = need
-        vs.cache[("u_dim",)] = dim
-    return u_power_matrix(vs, n, dim)[r][s]
+    dim = r + n + 1
+    if n == 0 or s >= dim:
+        return vs.one() if (n, s) == (0, r) else vs.zero()
+    u = build_U(vs, dim)
+    row = [vs.zero()] * dim
+    row[r] = vs.one()
+    for step in range(n, 0, -1):
+        out = [vs.zero()] * dim
+        for k, a in enumerate(row):
+            if is_zero_scalar(a):
+                continue
+            uk = u[k]  # ends at column k + 1: U is lower Hessenberg
+            for j in range(min(k + 2, s + 1 if step == 1 else dim)):
+                b = uk[j]
+                if not is_zero_scalar(b):
+                    out[j] = out[j] + a * b
+        row = out
+    return row[s]
 
 
 # ---------------------------------------------------------------------------
@@ -134,60 +133,59 @@ def theta_block(vs, j):
     return [[vs.alpha(j), vs.one()], [vs.rho(j), -vs.alpha_bar(j)]]
 
 
+def _factor_blocks(vs, parity, dim):
+    """(first height, block) pairs of a factor: even columns pair heights
+    (0,1), (2,3), ...; odd ones fix height 0 and pair (1,2), (3,4), ..."""
+    fixed = [(0, [[vs.one()]])] if parity else []
+    return fixed + [(j, theta_block(vs, j)) for j in range(parity, dim, 2)]
+
+
 def cmv_factor(vs, x, dim):
     """Transfer factor for the column starting at x, truncated to dim.
 
-    Even columns couple heights (0,1), (2,3), ...; odd columns fix height
-    0 and couple (1,2), (3,4), ...  Entry (i, j) reproduces the weight of
-    the parity-model step (x, i) -> (x+1, j).
+    Entry (i, j) reproduces the weight of the parity-model step
+    (x, i) -> (x+1, j).
     """
-    zero = vs.zero()
-    rows = [[zero] * dim for _ in range(dim)]
-    if x % 2 == 0:
-        j = 0
-    else:
-        rows[0][0] = vs.one()
-        j = 1
-    while j < dim:
-        blk = theta_block(vs, j)
-        rows[j][j] = blk[0][0]
-        if j + 1 < dim:
-            rows[j][j + 1] = blk[0][1]
-            rows[j + 1][j] = blk[1][0]
-            rows[j + 1][j + 1] = blk[1][1]
-        j += 2
+    rows = [[vs.zero()] * dim for _ in range(dim)]
+    for j, blk in _factor_blocks(vs, x % 2, dim):
+        for a, brow in enumerate(blk[:dim - j]):
+            rows[j + a][j:j + len(blk)] = brow[:dim - j]
     return ScalarMatrix(rows)
-
-
-def cmv_prefix_products(vs, r, width, dim):
-    """Products of the first 0..width factors starting at column -r."""
-    key = ("cmv_prefix", r)
-    entry = vs.cache.get(key)
-    if entry is None or entry[0] < dim:
-        entry = (dim, [ScalarMatrix.identity(dim, vs.one(), vs.zero())])
-        vs.cache[key] = entry
-    d, prods = entry
-    while len(prods) <= width:
-        x = -r + len(prods) - 1
-        prods.append(prods[-1] * cmv_factor(vs, x, d))
-    return prods
 
 
 def cmv_walk_entry(vs, n, r, s):
     """Generalized moment as an entry of the factored-walk product.
 
-    The product runs over the 2n + r - s columns of the parity model,
-    factors ordered by increasing column; entry (r, s) is read off.  An
-    empty product means the n = 0, r = s case.
+    Row r of the product of the 2n + r - s factors from column -r on is
+    walked block by block and entry s read off (no factors: n = 0, r = s).
+    The walk stays below height r + n + 1, so no alpha past alpha_{r+n}
+    is read; blocks too high to come back to s in time are skipped.
     """
     if min(n, r, s) < 0:
         raise ValueError("indices must be nonnegative")
-    width = 2 * n + r - s
-    if width < 0 or s > r + n:
+    if s > r + n:
         return vs.zero()
-    dim = r + n + 2
-    prods = cmv_prefix_products(vs, r, width, dim)
-    return prods[width][r][s]
+    dim = r + n + 1
+    layouts = (_factor_blocks(vs, 0, dim), _factor_blocks(vs, 1, dim))
+    row = [vs.zero()] * dim
+    row[r] = vs.one()
+    end = 2 * n - s
+    for x in range(-r, end):
+        out = [vs.zero()] * dim
+        for j, blk in layouts[x % 2]:
+            if j > s + end - 1 - x:
+                break
+            heights = range(j, min(j + len(blk), dim))
+            for k in heights:
+                a = row[k]
+                if is_zero_scalar(a):
+                    continue
+                for h in heights:
+                    b = blk[k - j][h - j]
+                    if not is_zero_scalar(b):
+                        out[h] = out[h] + a * b
+        row = out
+    return row[s]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from opuc.algebra import (ExactScalar, GaussianRational, LaurentPoly, NUMERIC,
                           SYMBOLIC, Symbol, alpha, alpha_bar,
@@ -253,8 +253,8 @@ def test_laurent_shift_scale_support():
 # property tests
 
 
-def _scalars():
-    term = st.tuples(st.integers(0, 2), st.booleans(), st.integers(1, 2),
+def _scalars(exponents=st.integers(1, 2), min_size=0):
+    term = st.tuples(st.integers(0, 2), st.booleans(), exponents,
                      st.integers(-3, 3))
 
     def build(terms):
@@ -263,7 +263,7 @@ def _scalars():
             out = out + coef * sym(idx, barred) ** exp
         return out
 
-    return st.lists(term, max_size=4).map(build)
+    return st.lists(term, min_size=min_size, max_size=4).map(build)
 
 
 @settings(max_examples=60, deadline=None)
@@ -277,6 +277,14 @@ def test_ring_axioms(x, y, z):
     assert x + ExactScalar() == x
     assert x * 1 == x
     assert x - x == ExactScalar()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scalars(st.integers(-2, 2)), _scalars(st.integers(-2, 2), 2))
+@example(alpha(0) ** -1, alpha(1) + alpha(2))
+def test_exact_division_undoes_laurent_multiplication(f, g):
+    assume(len(g.terms) >= 2)
+    assert (f * g) / g == f
 
 
 @settings(max_examples=60, deadline=None)

@@ -134,6 +134,38 @@ def test_moment_json_format(capsys):
     assert doc["checks"][0]["status"] == "pass"
 
 
+TABLE = ["-0.21875+0.484375i", "-0.203125+0.296875i", "0.09375+0.265625i",
+         "0.703125+0.015625i", "-0.71875-0.359375i", "0.046875+0.5i"]
+
+
+def _moment_values(capsys, table, n, r, s):
+    code, out, err = _run(capsys, "moment", "--alphas=" + ",".join(table),
+                          "-n", str(n), "-r", str(r), "-s", str(s),
+                          "--method", "all", "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert [chk["status"] for chk in doc["checks"]] == ["pass"]
+    return {rec["method"]: rec["value"] for rec in doc["results"]}
+
+
+def test_moment_zero_prints_unsigned_on_every_route(capsys):
+    # Re alpha_0 < 0 must not sign an empty sum; a zero alpha_1 makes a
+    # one-step weight -alpha_2 * conj(alpha_1) a signed float zero
+    values = _moment_values(capsys, TABLE, 0, 2, 0)
+    assert values == dict.fromkeys(
+        ("lukasiewicz", "gmotzkin", "schroder", "matrix_u", "matrix_cmv",
+         "oracle"), "0")
+    values = _moment_values(capsys, ["-0.5", "0", "0.25", "0", "0.5"], 1, 2, 2)
+    assert set(values.values()) == {"0"} and len(values) == 5
+
+
+def test_moment_table_of_r_plus_n_plus_one_entries_suffices(capsys):
+    for n, r in ((2, 0), (1, 1), (0, 2)):
+        for s in range(3):
+            values = _moment_values(capsys, TABLE[:r + n + 1], n, r, s)
+            assert len(values) == 6, (n, r, s, values)
+
+
 def test_moment_csv_format(capsys):
     code, out, err = _run(capsys, "moment", "--alphas", "1/2,1/3", "-n", "2",
                           "--format", "csv")

@@ -192,10 +192,13 @@ def test_functional_of_polynomial_times_negative_power():
                                    allow_infinity=False), min_size=1,
                 max_size=6))
 def test_numeric_functional_is_positive_definite(seed, coeffs):
-    vs = numeric_vs(seed)
-    p = LaurentPoly(dict(enumerate(coeffs)), NUMERIC)
-    if p.is_zero:
+    # <p, p> > 0 is scale-invariant; scaling to max |c| = 1 keeps tiny
+    # coefficients from underflowing to a zero form in floats
+    top = max(abs(c) for c in coeffs)
+    if top == 0:
         return
+    vs = numeric_vs(seed)
+    p = LaurentPoly({k: c / top for k, c in enumerate(coeffs)}, NUMERIC)
     val = inner_product(vs, p, p)
     assert abs(val.imag) < 1e-9 * (1 + abs(val))
     assert val.real > 0

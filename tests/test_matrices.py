@@ -10,7 +10,7 @@ from opuc.core import VerblunskySequence, moments_from_phis
 from opuc.matrices import (ScalarMatrix, build_U, cmv_factor,
                            cmv_walk_entry, det_identity_check, determinant,
                            rho_power_product, theta_block, toeplitz_det,
-                           toeplitz_matrix, u_power_entry, u_power_matrix)
+                           toeplitz_matrix, u_power_entry)
 from opuc.paths import (LatticePath, moment_gmotzkin, moment_lukasiewicz,
                         path_weight)
 
@@ -90,15 +90,18 @@ def test_transfer_power_agrees_with_unit_width_dp():
 
 
 def test_transfer_truncation_is_sufficient():
-    base = numeric_vs(5)
-    wide = numeric_vs(5)
+    vs = numeric_vs(5)
     for n in range(7):
         for r in range(3):
             dim = r + n + 1
-            small = u_power_matrix(base, n, dim)
-            large = u_power_matrix(wide, n, dim + 3)
+            small = ScalarMatrix.identity(dim, vs.one(), vs.zero())
+            large = ScalarMatrix.identity(dim + 3, vs.one(), vs.zero())
+            u_small, u_large = build_U(vs, dim), build_U(vs, dim + 3)
+            for _ in range(n):
+                small, large = small * u_small, large * u_large
             for s in range(dim):
-                assert values_close(small[r][s], large[r][s]), (n, r, s)
+                assert u_power_entry(vs, n, r, s) == small[r][s] \
+                    == large[r][s], (n, r, s)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +166,50 @@ def test_factored_walk_truncation_is_sufficient():
                 prod = ScalarMatrix.identity(dim, fresh.one(), fresh.zero())
                 for x in range(-r, -r + width):
                     prod = prod * cmv_factor(fresh, x, dim)
-                assert values_close(cmv_walk_entry(vs, n, r, s),
-                                    prod[r][s]), (n, r, s)
+                assert cmv_walk_entry(vs, n, r, s) == prod[r][s], (n, r, s)
+
+
+def _row_products(vs, r, dim, factors):
+    """Row r of E_rr * F_1 * ... * F_k for k = 0, 1, ..., len(factors).
+
+    Row r of a product depends only on row r of its first factor, so the
+    projection E_rr stands in for the identity and keeps the explicit
+    symbolic products small.
+    """
+    rows = [[vs.zero()] * dim for _ in range(dim)]
+    rows[r][r] = vs.one()
+    prod = ScalarMatrix(rows)
+    out = [prod[r]]
+    for fac in factors:
+        prod = prod * fac
+        out.append(prod[r])
+    return out
+
+
+@pytest.mark.parametrize("make_vs", [generic_vs, lambda: numeric_vs(3)],
+                         ids=["generic", "numeric"])
+def test_walks_equal_explicit_products(make_vs):
+    vs = make_vs()
+    for r in range(4):
+        big = r + 9
+        wide_u = _row_products(vs, r, big, [build_U(vs, big)] * 6)
+        wide_cmv = _row_products(vs, r, big, [cmv_factor(vs, x, big)
+                                              for x in range(-r, 12)])
+        for n in range(7):
+            dim = r + n + 1
+            tight_u = _row_products(vs, r, dim, [build_U(vs, dim)] * n)
+            tight_cmv = _row_products(vs, r, dim, [cmv_factor(vs, x, dim)
+                                                   for x in range(-r, 2 * n)])
+            for s in range(4):
+                u = u_power_entry(vs, n, r, s)
+                cmv = cmv_walk_entry(vs, n, r, s)
+                if s >= dim:
+                    assert u == cmv == wide_u[n][s] == 0, (n, r, s)
+                    continue
+                width = 2 * n + r - s
+                assert u == tight_u[n][s] == wide_u[n][s], (n, r, s)
+                assert cmv == tight_cmv[width][s] == wide_cmv[width][s], (
+                    n, r, s)
 
 
 # ---------------------------------------------------------------------------
