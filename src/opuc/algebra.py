@@ -12,11 +12,12 @@ Two scalar representations flow through this library:
 * numeric mode: the builtin ``complex``, used directly so the dynamic
   programs run at native speed.
 
-Module helpers (conjugate, is_zero_scalar, exact_div, evaluate_numeric,
-render_scalar) accept both representations, which keeps the rest of the
-library mode-agnostic.  Integers and Fractions coerce into either mode;
-floats and complexes are rejected by the symbolic side to preserve
-exactness.
+Module helpers (conjugate, exact_div, evaluate_numeric, render_scalar)
+accept both representations, which keeps the rest of the library
+mode-agnostic.  A scalar of either kind is false exactly when it is
+zero, so a plain truth test is the zero test in both modes.  Integers
+and Fractions coerce into either mode; floats and complexes are
+rejected by the symbolic side to preserve exactness.
 
 Convention: symbol index -1 encodes the boundary value alpha_{-1} = -1.
 Constructors eliminate it immediately, so stored symbols always have
@@ -179,12 +180,6 @@ def _cconj(x):
     return x.conjugate() if isinstance(x, GaussianRational) else x
 
 
-def _cstr(x):
-    if isinstance(x, GaussianRational):
-        return str(x)
-    return str(x)
-
-
 def _merge_monom(m1, m2):
     """Merge two sorted ((Symbol, exp), ...) tuples, adding exponents."""
     if not m1:
@@ -273,6 +268,9 @@ class ExactScalar:
     @property
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def constant_value(self):
         """The coefficient of the empty monomial, or None if non-constant."""
@@ -443,7 +441,7 @@ class ExactScalar:
             if te:
                 factors.append("t" if te == 1 else "t^%d" % te)
             body = "*".join(factors)
-            cs = _cstr(c)
+            cs = str(c)
             if body:
                 if cs == "1":
                     text = body
@@ -579,22 +577,12 @@ def conjugate(x):
     raise TypeError("cannot conjugate %r" % type(x))
 
 
-def is_zero_scalar(x):
-    if isinstance(x, ExactScalar):
-        return x.is_zero
-    return x == 0
-
-
 def exact_div(a, b):
     """Division appropriate to the representation: exact or complex."""
     if isinstance(a, ExactScalar) or isinstance(b, ExactScalar):
         a = a if isinstance(a, ExactScalar) else ExactScalar._coerce(a)
         return a / b
     return a / b
-
-
-def scalar_mode(x):
-    return SYMBOLIC if isinstance(x, ExactScalar) else NUMERIC
 
 
 def zero_of(mode):
@@ -709,8 +697,7 @@ class LaurentPoly:
     __slots__ = ("coeffs", "mode")
 
     def __init__(self, coeffs, mode):
-        self.coeffs = {k: c for k, c in coeffs.items()
-                       if not is_zero_scalar(c)}
+        self.coeffs = {k: c for k, c in coeffs.items() if c}
         self.mode = mode
 
     @classmethod
@@ -724,10 +711,6 @@ class LaurentPoly:
     @classmethod
     def z_power(cls, k, mode):
         return cls({k: one_of(mode)}, mode)
-
-    @classmethod
-    def from_scalar(cls, c, mode):
-        return cls({0: c}, mode)
 
     @property
     def is_zero(self):
@@ -762,7 +745,7 @@ class LaurentPoly:
         for k, c in other.coeffs.items():
             acc = out.get(k)
             acc = c if acc is None else acc + c
-            if is_zero_scalar(acc):
+            if not acc:
                 out.pop(k, None)
             else:
                 out[k] = acc
@@ -787,7 +770,7 @@ class LaurentPoly:
                 c = c1 * c2
                 acc = out.get(k)
                 acc = c if acc is None else acc + c
-                if is_zero_scalar(acc):
+                if not acc:
                     out.pop(k, None)
                 else:
                     out[k] = acc

@@ -31,7 +31,7 @@ from .linearization import (expand_in_phistar_basis, phi_to_star_coeff,
                             star_to_star_coeff_paths)
 from .matrices import (ScalarMatrix, cmv_walk_entry, det_identity_check,
                        rho_power_product, toeplitz_det, u_power_entry)
-from .paths import (DEFAULT_CAP, enumerate_paths, moment_gmotzkin,
+from .paths import (DEFAULT_CAP, MODELS, enumerate_paths, moment_gmotzkin,
                     moment_lukasiewicz, moment_negative, moment_schroder,
                     path_weight, positivity_certificate)
 
@@ -45,7 +45,6 @@ EXIT_CAP = 3
 CROSS_METHODS = ("lukasiewicz", "gmotzkin", "schroder", "matrix_u",
                  "matrix_cmv", "oracle")
 MOMENT_METHODS = CROSS_METHODS + ("closed", "all")
-PATH_MODELS = ("lukasiewicz", "gmotzkin", "schroder", "negative")
 VERIFY_SUITES = ("cross-model", "reciprocity", "determinants", "families",
                  "linearization", "positivity", "all")
 
@@ -740,7 +739,7 @@ def build_parser():
 
     p = subs.add_parser("paths", help="list weighted paths")
     _add_sequence_flags(p)
-    p.add_argument("--model", choices=PATH_MODELS, required=True)
+    p.add_argument("--model", choices=MODELS, required=True)
     p.add_argument("-n", type=int, default=0)
     p.add_argument("-r", type=int, default=0)
     p.add_argument("-s", type=int, default=0)
@@ -768,9 +767,23 @@ def build_parser():
     return parser
 
 
+def _join_alphas(argv):
+    # a comma-separated table is never an option, but argparse reads one
+    # with a leading minus (``--alphas -1/2,1/4``) as a flag; it also
+    # accepts the flag abbreviated
+    out = []
+    for tok in argv:
+        if out and len(out[-1]) > 2 and "--alphas".startswith(out[-1]):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_alphas(
+        sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except CliError as exc:

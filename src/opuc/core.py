@@ -13,7 +13,7 @@ from fractions import Fraction
 from .algebra import (SYMBOLIC, NUMERIC, ExactScalar, LaurentPoly,
                       alpha as sym_alpha, alpha_bar as sym_alpha_bar,
                       as_mode_scalar, bar_inverse_substitute, conjugate,
-                      exact_div, is_zero_scalar, one_of, zero_of)
+                      exact_div, one_of, zero_of)
 
 
 class VerblunskySequence:
@@ -23,6 +23,9 @@ class VerblunskySequence:
     |alpha_j| < 1 for every accessed j; symbolic mode cannot check this
     and leaves it as a caller obligation.  Instances are treated as
     immutable; the caches only memoize pure functions of the sequence.
+    Every table that grows with n (the phi pairs, each path model's
+    columns, the transfer rows and the theta blocks) is a list in
+    `cache`, extended by `sweep`.
     """
 
     def __init__(self, accessor, mode, source="table"):
@@ -30,10 +33,8 @@ class VerblunskySequence:
         self.source = source
         self._accessor = accessor
         self._alphas = {}
-        self._phis = [LaurentPoly.one(mode)]
-        self._phistars = [LaurentPoly.one(mode)]
-        self._mu_pos = None
-        self._mu_neg = None
+        self._mu_pos = [one_of(mode)]
+        self._mu_neg = [one_of(mode)]
         self.cache = {}
 
     @classmethod
@@ -93,6 +94,20 @@ class VerblunskySequence:
             out = out * self.rho(j)
         return out
 
+    def sweep(self, key, upto, step, *args):
+        """The table cached under key, holding at least entries 0..upto.
+
+        Missing entries are appended one at a time as
+        step(self, table, *args); given an empty table, step builds entry
+        0.  A hit returns the stored list itself.
+        """
+        table = self.cache.get(key)
+        if table is None:
+            table = self.cache[key] = []
+        while len(table) <= upto:
+            table.append(step(self, table, *args))
+        return table
+
     def one(self):
         return one_of(self.mode)
 
@@ -120,14 +135,16 @@ def phi(vs, n):
     """
     if n < 0:
         raise ValueError("polynomial degree must be >= 0")
-    phis, stars = vs._phis, vs._phistars
-    while len(phis) <= n:
-        k = len(phis) - 1
-        p, ps = phis[k], stars[k]
-        zp = p.shift(1)
-        phis.append(zp - ps.scale(vs.alpha_bar(k)))
-        stars.append(ps - zp.scale(vs.alpha(k)))
-    return PhiPair(n, phis[n], stars[n])
+    return vs.sweep(("phi",), n, _phi_step)[n]
+
+
+def _phi_step(vs, pairs):
+    if not pairs:
+        return PhiPair(0, LaurentPoly.one(vs.mode), LaurentPoly.one(vs.mode))
+    k, last = len(pairs) - 1, pairs[-1]
+    zp = last.phi.shift(1)
+    return PhiPair(k + 1, zp - last.phi_star.scale(vs.alpha_bar(k)),
+                   last.phi_star - zp.scale(vs.alpha(k)))
 
 
 def reverse(f, declared_degree):
@@ -164,9 +181,6 @@ def moments_from_phis(vs, N):
     lazily.  Returns (nonneg, nonpos) with nonneg[k] = mu_k and
     nonpos[k] = mu_{-k}.
     """
-    if vs._mu_pos is None:
-        vs._mu_pos = [one_of(vs.mode)]
-        vs._mu_neg = [one_of(vs.mode)]
     pos, neg = vs._mu_pos, vs._mu_neg
     while len(pos) <= N:
         n = len(pos)
@@ -175,7 +189,7 @@ def moments_from_phis(vs, N):
         acc_pos = zero_of(vs.mode)
         for k in range(n):
             c = p.coeff(k)
-            if is_zero_scalar(c):
+            if not c:
                 continue
             acc_neg = acc_neg + c * neg[k]
             acc_pos = acc_pos + conjugate(c) * pos[k]
@@ -218,24 +232,3 @@ def moment_oracle(vs, n, r, s):
     vs.cache[key] = val
     return val
 
-
-class MomentTable:
-    """Cache of generalized moments with per-entry provenance.
-
-    A thin mapping (n, r, s) -> (value, method tag) used by the CLI to
-    collect results; the kronecker-delta normalization mu_{0,r,s} =
-    delta_{r,s} is asserted on insertion for method-computed entries.
-    """
-
-    def __init__(self, mode):
-        self.mode = mode
-        self._entries = {}
-
-    def put(self, n, r, s, value, method):
-        self._entries[(n, r, s)] = (value, method)
-
-    def get(self, n, r, s):
-        return self._entries.get((n, r, s))
-
-    def items(self):
-        return sorted(self._entries.items())

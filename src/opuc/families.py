@@ -16,7 +16,6 @@ from .algebra import (
     GaussianRational,
     as_mode_scalar,
     conjugate,
-    is_zero_scalar,
     one_of,
     t_root,
     zero_of,
@@ -308,7 +307,7 @@ def nrs_from_nm(spec_or_vs, n, r, s, mode=None):
     total = vs.zero()
     for i in range(r + 1):
         c = poly.coeff(i)
-        if is_zero_scalar(c):
+        if not c:
             continue
         total = total + conjugate(c) * nm(n + i)
     return total
@@ -327,7 +326,7 @@ def geronimus_series(alpha_value, order):
     if isinstance(alpha_value, int):
         alpha_value = Fraction(alpha_value)  # keep int / int exact below
     aa = alpha_value * conjugate(alpha_value)
-    if is_zero_scalar(aa) or aa == 0:
+    if not aa:
         raise ValueError("series expansion needs a nonzero parameter")
     rr = 1 - aa
     scale = alpha_value / aa
@@ -346,8 +345,7 @@ def geronimus_gf_moment(alpha_value, n, m, order=None):
         order = n
     if order < n:
         raise ValueError("series order %d is below requested index %d" % (order, n))
-    if alpha_value == 0 or (isinstance(alpha_value, GaussianRational)
-                            and not bool(alpha_value)):
+    if not alpha_value:
         return 1 if n == m else 0
     if n < m:
         return 0
@@ -360,15 +358,12 @@ def geronimus_gf_moment(alpha_value, n, m, order=None):
     return h[n - m]
 
 
-_PHI_ROWS = {}
-
-
 def geronimus_phi_coeff(alpha_value, n, i):
     """Coefficient of z^i in the degree-n monic polynomial of the
     constant-coefficient family, by its three-term coefficient recurrence."""
     if not 0 <= i <= n:
         raise ValueError("coefficient index out of range")
-    rows = _PHI_ROWS.setdefault(alpha_value, [[1]])
+    rows = [[1]]
     abar = conjugate(alpha_value)
     rr = 1 - alpha_value * abar
     while len(rows) <= n:

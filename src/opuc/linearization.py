@@ -14,7 +14,7 @@ form has a lattice-path companion (suffix ``_paths``) used to cross-check
 it over a different computation route.
 """
 
-from .algebra import LaurentPoly, exact_div, is_zero_scalar, zero_of
+from .algebra import LaurentPoly, exact_div, zero_of
 from .core import inner_product, kappa, phi
 from .errors import ZeroVerblunsky
 from .matrices import ScalarMatrix
@@ -82,7 +82,7 @@ def expand_in_phi_basis(vs, f):
     for s in range(deg, -1, -1):
         c = residual.coeff(s)
         coeffs[s] = c
-        if not is_zero_scalar(c):
+        if c:
             residual = residual - phi(vs, s).phi.scale(c)
     if not residual.is_zero:
         raise AssertionError("triangular solve left a nonzero residual")
@@ -101,7 +101,7 @@ def expand_in_phistar_basis(vs, f, bound):
     if not f.is_zero and f.degree() > bound:
         raise ValueError("degree exceeds the expansion bound")
     for i in range(bound):
-        if is_zero_scalar(vs.alpha(i)):
+        if not vs.alpha(i):
             raise ZeroVerblunsky(i)
     coeffs = [zero_of(vs.mode)] * (bound + 1)
     residual = f
@@ -109,7 +109,7 @@ def expand_in_phistar_basis(vs, f, bound):
         top = residual.coeff(s)
         c = exact_div(top, -vs.alpha(s - 1))
         coeffs[s] = c
-        if not is_zero_scalar(c):
+        if c:
             residual = residual - phi(vs, s).phi_star.scale(c)
     coeffs[0] = residual.coeff(0)
     if not (residual - phi(vs, 0).phi_star.scale(coeffs[0])).is_zero:
@@ -155,7 +155,7 @@ def star_to_phi_coeff_negative(vs, n, r, s):
 
 def _require_nonzero(vs, j):
     # ab_{-1} = -1 by convention, so only j >= 0 can vanish
-    if j >= 0 and is_zero_scalar(vs.alpha(j)):
+    if j >= 0 and not vs.alpha(j):
         raise ZeroVerblunsky(j)
 
 

@@ -8,11 +8,14 @@ on the Hessenberg U, O(d) per factor and O(n*d) in all for the blocks,
 with d = r + n + 1.  Sums keep the order of `ScalarMatrix.__mul__`, so
 a walk equals the entry of the dense product exactly.
 
+U's rows and the blocks do not depend on d, so each sequence sweeps
+them once (`VerblunskySequence.sweep`) and every walk reuses them.
+
 Determinants are taken by fraction-free elimination, which is exact over
 the symbolic coefficient ring and also serves the numeric mode.
 """
 
-from .algebra import exact_div, is_zero_scalar, values_close
+from .algebra import exact_div, values_close
 from .core import moments_from_phis
 
 
@@ -53,12 +56,12 @@ class ScalarMatrix:
             orow = out[i]
             for k in range(d):
                 a = arow[k]
-                if is_zero_scalar(a):
+                if not a:
                     continue
                 brow = other.rows[k]
                 for j in range(d):
                     b = brow[j]
-                    if not is_zero_scalar(b):
+                    if b:
                         orow[j] = orow[j] + a * b
         return ScalarMatrix(out)
 
@@ -75,24 +78,27 @@ class ScalarMatrix:
 # transfer matrix and its row walk
 
 
+def _u_row(vs, rows):
+    # row i of U, up to its last nonzero entry, the rise to i + 1; it
+    # reads no alpha past alpha_i
+    i = len(rows)
+    row = [vs.one()] * (i + 2)
+    neg, prod = -vs.alpha(i), vs.one()
+    for j in range(i, -1, -1):
+        row[j] = neg * vs.alpha_bar(j - 1) * prod
+        if j:
+            prod = vs.rho(j - 1) * prod
+    return row
+
+
 def build_U(vs, dim):
     """One-step transfer matrix: entry (i, j) is the i -> j step weight."""
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    bars = [vs.alpha_bar(j) for j in range(-1, dim - 1)]
-    rhos = [vs.rho(j) for j in range(dim - 1)]
-    rows = []
-    for i in range(dim):
-        row = [vs.zero()] * dim
-        if i + 1 < dim:
-            row[i + 1] = vs.one()
-        neg, prod = -vs.alpha(i), vs.one()
-        for j in range(i, -1, -1):
-            row[j] = neg * bars[j] * prod
-            if j:
-                prod = rhos[j - 1] * prod
-        rows.append(row)
-    return ScalarMatrix(rows)
+    rows = vs.sweep(("u_rows",), dim - 1, _u_row)
+    zero = vs.zero()
+    return ScalarMatrix([rows[i][:dim] + [zero] * (dim - i - 2)
+                         for i in range(dim)])
 
 
 def u_power_entry(vs, n, r, s):
@@ -107,18 +113,18 @@ def u_power_entry(vs, n, r, s):
     dim = r + n + 1
     if n == 0 or s >= dim:
         return vs.one() if (n, s) == (0, r) else vs.zero()
-    u = build_U(vs, dim)
+    u = vs.sweep(("u_rows",), dim - 1, _u_row)
     row = [vs.zero()] * dim
     row[r] = vs.one()
     for step in range(n, 0, -1):
         out = [vs.zero()] * dim
         for k, a in enumerate(row):
-            if is_zero_scalar(a):
+            if not a:
                 continue
             uk = u[k]  # ends at column k + 1: U is lower Hessenberg
             for j in range(min(k + 2, s + 1 if step == 1 else dim)):
                 b = uk[j]
-                if not is_zero_scalar(b):
+                if b:
                     out[j] = out[j] + a * b
         row = out
     return row[s]
@@ -133,11 +139,16 @@ def theta_block(vs, j):
     return [[vs.alpha(j), vs.one()], [vs.rho(j), -vs.alpha_bar(j)]]
 
 
+def _next_theta(vs, blocks):
+    return theta_block(vs, len(blocks))
+
+
 def _factor_blocks(vs, parity, dim):
     """(first height, block) pairs of a factor: even columns pair heights
     (0,1), (2,3), ...; odd ones fix height 0 and pair (1,2), (3,4), ..."""
+    blocks = vs.sweep(("theta",), dim - 1, _next_theta)
     fixed = [(0, [[vs.one()]])] if parity else []
-    return fixed + [(j, theta_block(vs, j)) for j in range(parity, dim, 2)]
+    return fixed + [(j, blocks[j]) for j in range(parity, dim, 2)]
 
 
 def cmv_factor(vs, x, dim):
@@ -178,11 +189,11 @@ def cmv_walk_entry(vs, n, r, s):
             heights = range(j, min(j + len(blk), dim))
             for k in heights:
                 a = row[k]
-                if is_zero_scalar(a):
+                if not a:
                     continue
                 for h in heights:
                     b = blk[k - j][h - j]
-                    if not is_zero_scalar(b):
+                    if b:
                         out[h] = out[h] + a * b
         row = out
     return row[s]
@@ -203,9 +214,9 @@ def determinant(mat, one):
     sign = 1
     prev = one
     for k in range(d - 1):
-        if is_zero_scalar(a[k][k]):
+        if not a[k][k]:
             for i in range(k + 1, d):
-                if not is_zero_scalar(a[i][k]):
+                if a[i][k]:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
                     break

@@ -8,12 +8,18 @@ enumerator for small instances and a dynamic-programming evaluator with
 no practical size limit.  Both compute the same weighted totals, which
 the test suite exercises model against model.
 
+Each evaluator's state is a table per start height, cached on the
+driving sequence and grown one column at a time by
+`VerblunskySequence.sweep`, so later requests reuse the columns already
+built.  Every model has its own step kernel and its own tables: no
+model reads another's.
+
 All step weights live in the coefficient ring of the driving
 VerblunskySequence, so a single code path serves both exact symbolic and
 floating-point numeric work.
 """
 
-from .algebra import SYMBOLIC, beta_form, is_zero_scalar, render_beta_monomial
+from .algebra import SYMBOLIC, beta_form, render_beta_monomial
 from .errors import EnumerationCapExceeded, PositivityViolation, ZeroVerblunsky
 
 UP = (1, 1)
@@ -217,7 +223,7 @@ def enumerate_paths(model, n, r, s, cap=DEFAULT_CAP):
 
 def _inv_alpha_bar(vs, j):
     v = vs.alpha_bar(j)
-    if is_zero_scalar(v):
+    if not v:
         raise ZeroVerblunsky(j)
     return vs.one() / v
 
@@ -266,30 +272,26 @@ def _step_weight(model, vs, x, y, dx, dy):
 # dynamic programming evaluators
 
 
+def _unit_column(vs, h):
+    col = [vs.zero()] * (h + 1)
+    col[h] = vs.one()
+    return col
+
+
 def moment_lukasiewicz(vs, n, r, s):
     """Generalized moment for z^n, n >= 0, as a unit-width-model weight sum."""
     if min(n, r, s) < 0:
         raise ValueError("indices must be nonnegative")
-    row = _luka_rows(vs, r, n)[n]
+    row = vs.sweep(("luka_rows", r), n, _luka_step, r)[n]
     return row[s] if s < len(row) else vs.zero()
 
 
-def _luka_rows(vs, r, n):
-    key = ("luka_rows", r)
-    rows = vs.cache.get(key)
-    if rows is None:
-        first = [vs.zero()] * (r + 1)
-        first[r] = vs.one()
-        rows = [first]
-        vs.cache[key] = rows
-    while len(rows) <= n:
-        rows.append(_luka_step(vs, rows[-1]))
-    return rows
-
-
-def _luka_step(vs, prev):
+def _luka_step(vs, rows, r):
     # peel the last step; suffix accumulator S covers every fall into height y:
     # S_y = alpha_y * prev[y] + rho_y * S_{y+1}
+    if not rows:
+        return _unit_column(vs, r)
+    prev = rows[-1]
     h = len(prev)
     zero = vs.zero()
     new = [zero] * (h + 1)
@@ -309,30 +311,24 @@ def moment_gmotzkin(vs, n, r, s):
     x_end = 2 * n - s
     if x_end < -r or s > r + n:
         return vs.zero()
-    col = _gm_cols(vs, r, n)[x_end + r]
+    # column heights are capped by the rise bound r+t and by what can
+    # still descend to a served endpoint; the cap depends on the largest
+    # n served, so a table too short for n is dropped and swept afresh
+    key = ("gm_cols", r)
+    cols = vs.cache.get(key)
+    if cols is not None and len(cols) <= 2 * n + r:
+        del vs.cache[key]
+    col = vs.sweep(key, 2 * n + r, _gm_step, r, n)[x_end + r]
     return col[s] if s < len(col) else vs.zero()
 
 
-def _gm_cols(vs, r, n):
-    # column heights are capped by the rise bound r+t and by what can
-    # still descend to a served endpoint; the cap depends on the largest
-    # n served, so growing n rebuilds the sweep from scratch
-    key = ("gm_cols", r)
-    entry = vs.cache.get(key)
-    if entry is None or entry[0] < n:
-        first = [vs.zero()] * (r + 1)
-        first[r] = vs.one()
-        entry = (n, [first])
-        vs.cache[key] = entry
-    top, cols = entry
-    while len(cols) <= 2 * top + r:
-        t = len(cols)
-        hmax = min(r + t, 2 * top + r - t)
-        cols.append(_gm_step(vs, cols[-1], t - 1 - r, hmax))
-    return cols
-
-
-def _gm_step(vs, col, x, hmax):
+def _gm_step(vs, cols, r, top):
+    if not cols:
+        return _unit_column(vs, r)
+    t = len(cols)
+    x = t - 1 - r
+    hmax = min(r + t, 2 * top + r - t)
+    col = cols[-1]
     h = len(col)
     zero = vs.zero()
     new = [zero] * (hmax + 1)
@@ -340,15 +336,15 @@ def _gm_step(vs, col, x, hmax):
         acc = zero
         if 1 <= y <= h and (x + y - 1) % 2 == 0:
             v = col[y - 1]
-            if not is_zero_scalar(v):
+            if v:
                 acc = acc + v
         if y + 1 < h and (x + y + 1) % 2 == 1:
             v = col[y + 1]
-            if not is_zero_scalar(v):
+            if v:
                 acc = acc + vs.rho(y) * v
         if y < h:
             v = col[y]
-            if not is_zero_scalar(v):
+            if v:
                 if (x + y) % 2 == 0:
                     acc = acc + vs.alpha(y) * v
                 else:
@@ -357,22 +353,18 @@ def _gm_step(vs, col, x, hmax):
     return new
 
 
-def _schroder_weights(vs, level_max, drop_max):
-    # level weight at height y and drop weight entering from height b >= 1;
-    # both divide by a conjugated coefficient, hence the nonzero hypothesis
-    key = ("schroder_wts",)
-    entry = vs.cache.get(key)
-    if entry is None:
-        entry = ([], [None])
-        vs.cache[key] = entry
-    level, drop = entry
-    while len(level) <= level_max:
-        y = len(level)
-        level.append(-vs.alpha_bar(y - 1) * _inv_alpha_bar(vs, y))
-    while len(drop) <= drop_max:
-        b = len(drop)
-        drop.append(vs.alpha_bar(b - 2) * _inv_alpha_bar(vs, b - 1) * vs.rho(b - 1))
-    return entry
+# level weight at height y and drop weight entering from height b >= 1;
+# both divide by a conjugated coefficient, hence the nonzero hypothesis
+def _level_weight(vs, level):
+    y = len(level)
+    return -vs.alpha_bar(y - 1) * _inv_alpha_bar(vs, y)
+
+
+def _drop_weight(vs, drop):
+    b = len(drop)
+    if not b:
+        return None
+    return vs.alpha_bar(b - 2) * _inv_alpha_bar(vs, b - 1) * vs.rho(b - 1)
 
 
 def schroder_weight_sum(vs, n, r, s, skip_initial_vertical=True,
@@ -385,9 +377,10 @@ def schroder_weight_sum(vs, n, r, s, skip_initial_vertical=True,
     """
     if min(n, r, s) < 0:
         raise ValueError("indices must be nonnegative")
-    cols, pres = _schroder_cols(vs, r, n, not skip_initial_vertical)
-    table = pres if skip_terminal_vertical else cols
-    col = table[n]
+    allow_initial = not skip_initial_vertical
+    col, pre = vs.sweep(("schroder_cols", r, allow_initial), n,
+                        _schroder_step, r, allow_initial)[n]
+    col = pre if skip_terminal_vertical else col
     return col[s] if s < len(col) else vs.zero()
 
 
@@ -396,62 +389,47 @@ def moment_schroder(vs, n, r, s):
     return schroder_weight_sum(vs, n, r, s)
 
 
-def _schroder_cols(vs, r, n, allow_initial):
-    key = ("schroder_cols", r, allow_initial)
-    entry = vs.cache.get(key)
-    if entry is None:
-        base = [vs.zero()] * (r + 1)
-        base[r] = vs.one()
-        col0 = list(base)
-        if allow_initial:
-            _, drop = _schroder_weights(vs, -1, r)
-            for y in range(r - 1, -1, -1):
-                col0[y] = col0[y] + drop[y + 1] * col0[y + 1]
-        entry = ([col0], [base])
-        vs.cache[key] = entry
-    cols, pres = entry
-    while len(cols) <= n:
-        prev = cols[-1]
-        h = len(prev)
-        level, drop = _schroder_weights(vs, h - 1, h)
-        zero = vs.zero()
-        pre = [zero] * (h + 1)
-        for y in range(h + 1):
-            acc = prev[y - 1] if y >= 1 else zero
-            if y < h:
-                acc = acc + level[y] * prev[y]
-            pre[y] = acc
+def _schroder_step(vs, cols, r, allow_initial):
+    # entry n is (col, pre): the column after n width steps with and
+    # without the trailing drops
+    if not cols:
+        pre = _unit_column(vs, r)
         col = list(pre)
-        for y in range(h - 1, -1, -1):
-            col[y] = col[y] + drop[y + 1] * col[y + 1]
-        cols.append(col)
-        pres.append(pre)
-    return entry
+        if allow_initial:
+            drop = vs.sweep(("schroder_drop",), r, _drop_weight)
+            for y in range(r - 1, -1, -1):
+                col[y] = col[y] + drop[y + 1] * col[y + 1]
+        return col, pre
+    prev = cols[-1][0]
+    h = len(prev)
+    level = vs.sweep(("schroder_level",), h - 1, _level_weight)
+    drop = vs.sweep(("schroder_drop",), h, _drop_weight)
+    zero = vs.zero()
+    pre = [zero] * (h + 1)
+    for y in range(h + 1):
+        acc = prev[y - 1] if y >= 1 else zero
+        if y < h:
+            acc = acc + level[y] * prev[y]
+        pre[y] = acc
+    col = list(pre)
+    for y in range(h - 1, -1, -1):
+        col[y] = col[y] + drop[y + 1] * col[y + 1]
+    return col, pre
 
 
 def moment_negative(vs, n, r, s):
     """Generalized moment for z^(-n), via the mirrored model DP."""
     if min(n, r, s) < 0:
         raise ValueError("indices must be nonnegative")
-    row = _neg_rows(vs, s, n)[n]
+    row = vs.sweep(("neg_rows", s), n, _neg_step, s)[n]
     return row[r] if r < len(row) else vs.zero()
 
 
-def _neg_rows(vs, s, n):
-    key = ("neg_rows", s)
-    rows = vs.cache.get(key)
-    if rows is None:
-        first = [vs.zero()] * (s + 1)
-        first[s] = vs.one()
-        rows = [first]
-        vs.cache[key] = rows
-    while len(rows) <= n:
-        rows.append(_neg_step(vs, rows[-1]))
-    return rows
-
-
-def _neg_step(vs, prev):
+def _neg_step(vs, rows, s):
     # suffix sums: acc_y = sum over b >= y of conj(alpha_b) * prev[b]
+    if not rows:
+        return _unit_column(vs, s)
+    prev = rows[-1]
     h = len(prev)
     zero = vs.zero()
     new = [zero] * (h + 1)

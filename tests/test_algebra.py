@@ -9,8 +9,8 @@ from opuc.algebra import (ExactScalar, GaussianRational, LaurentPoly, NUMERIC,
                           SYMBOLIC, Symbol, alpha, alpha_bar,
                           bar_inverse_substitute, beta_form, conjugate,
                           evaluate_numeric, exact_div, gauss, is_polynomial,
-                          is_zero_scalar, render_beta_monomial, render_scalar,
-                          sym, t_root, values_close)
+                          render_beta_monomial, render_scalar, sym, t_root,
+                          values_close)
 from opuc.errors import ExactDivisionError
 
 
@@ -147,9 +147,9 @@ def test_evaluate_requires_assignment_and_handles_root():
 
 
 def test_scalar_mode_helpers():
-    assert is_zero_scalar(ExactScalar())
-    assert is_zero_scalar(0j)
-    assert not is_zero_scalar(alpha(0))
+    assert not ExactScalar()
+    assert not alpha(0) - alpha(0)
+    assert alpha(0)
     assert values_close(alpha(0), alpha(0))
     assert not values_close(alpha(0), alpha(1))
     assert values_close(1.0 + 0j, 1.0 + 1e-12j)

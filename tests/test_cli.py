@@ -175,6 +175,25 @@ def test_moment_csv_format(capsys):
     assert lines[1].startswith("2,0,0,lukasiewicz,")
 
 
+TABLE_MINUS = "-1/2,1/4+1/8i,-3/8"
+
+
+def test_alphas_with_leading_minus_in_either_spelling(capsys):
+    for cmd in (("moment", "-n", "2", "--method", "all"),
+                ("paths", "--model", "negative", "-n", "2")):
+        outputs = []
+        for flag in (["--alphas", TABLE_MINUS], ["--alphas=" + TABLE_MINUS],
+                     ["--alph", TABLE_MINUS]):
+            code, out, err = _run(capsys, *cmd, *flag, "--format", "json")
+            assert code == 0, err
+            doc = json.loads(out)
+            for rec in doc["results"]:
+                rec.pop("elapsed_ms", None)
+            outputs.append(doc)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0]["config_echo"]["alphas"] == TABLE_MINUS
+
+
 def test_conflicting_sequence_flags(capsys):
     code, out, err = _run(capsys, "moment", "--family", "geronimus",
                           "--param", "alpha=1/2", "--alphas", "1/2")

@@ -1,0 +1,74 @@
+"""Byte-identical CLI output: a fixed grid of `opuc` invocations checked
+against a golden file.
+
+`golden_cli.txt` holds each invocation's exit code and standard output,
+with every ``elapsed_ms`` field removed from JSON reports (the text
+formats used here print no times).  Rewrite it only for an intended
+output change, from the root of a checkout:
+
+    PYTHONPATH=src python -m tests.test_golden
+"""
+
+import contextlib
+import io
+import json
+import re
+from pathlib import Path
+
+from opuc.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_cli.txt")
+
+# dyadic entries are exact floats, so every route sees the same inputs
+DYADIC = ("--alphas=-0.21875+0.484375i,-0.203125+0.296875i,0.09375+0.265625i,"
+          "0.703125+0.015625i,-0.71875-0.359375i,0.046875+0.5i,0.5-0.25i,"
+          "-0.125+0.375i,0.3125,-0.4375i")
+
+GRID = (
+    [("moment", DYADIC, "-n", n, "-r", r, "-s", s, "--method", "all",
+      "--format", "json")
+     for n, r, s in (("0", "2", "0"), ("1", "0", "0"), ("3", "1", "2"),
+                     ("5", "2", "1"), ("6", "3", "3"))]
+    + [("moment", "-n", n, "-r", r, "-s", s, "--method", "all",
+        "--format", "json")
+       for n, r, s in (("1", "0", "0"), ("2", "1", "2"), ("3", "0", "0"),
+                       ("3", "2", "1"))]
+    + [("moment", "--alphas", "1/2,1/3,2/5+1/5i", "-n", "2", "-s", "1",
+        "--method", "all", "--format", "json")]
+    + [("paths", "--model", model, "-n", n, "-r", r, "-s", s)
+       for model, n, r, s in (("lukasiewicz", "3", "1", "1"),
+                              ("gmotzkin", "2", "1", "0"),
+                              ("schroder", "2", "1", "1"),
+                              ("negative", "2", "1", "0"))]
+    + [("verify", "--format", "text", "--max", "2"),
+       ("verify", "--format", "text", "--max", "2", "--mode", "numeric")]
+)
+
+
+def _drop_elapsed(doc):
+    for rec in doc["results"]:
+        rec.pop("elapsed_ms", None)
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def run_grid():
+    """One ``$ opuc ...`` block per invocation: exit code, then output."""
+    blocks = []
+    for argv in GRID:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(list(argv))
+        out = buf.getvalue()
+        if "json" in argv:
+            out = _drop_elapsed(json.loads(out))
+        blocks.append("$ opuc %s\n[exit %d]\n%s" % (" ".join(argv), code, out))
+    return blocks
+
+
+def test_cli_output_matches_golden():
+    golden = re.split(r"(?m)^(?=\$ opuc )", GOLDEN.read_text())[1:]
+    assert run_grid() == golden
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text("".join(run_grid()))

@@ -1,0 +1,60 @@
+"""The per-sequence tables: `VerblunskySequence.sweep`, and results that do
+not depend on the order in which a sequence's tables were grown."""
+
+from functools import partial
+
+import pytest
+
+from opuc.core import phi
+from opuc.matrices import cmv_walk_entry, u_power_entry
+from opuc.paths import (moment_gmotzkin, moment_lukasiewicz, moment_negative,
+                        moment_schroder, schroder_weight_sum)
+
+from .conftest import generic_vs, numeric_vs
+
+
+def test_sweep_runs_its_step_once_per_new_entry():
+    vs = generic_vs()
+    calls = []
+
+    def step(seq, table, scale):
+        assert seq is vs
+        calls.append(len(table))
+        return scale * len(table)
+
+    table = vs.sweep("k", 3, step, 10)
+    assert table == [0, 10, 20, 30] and calls == [0, 1, 2, 3]
+    assert vs.cache["k"] is table
+    assert vs.sweep("k", 3, step, 10) is table
+    assert vs.sweep("k", 0, step, 10) is table
+    assert calls == [0, 1, 2, 3]
+    assert vs.sweep("k", 5, step, 10) is table
+    assert table == [0, 10, 20, 30, 40, 50]
+    assert calls == [0, 1, 2, 3, 4, 5]
+
+
+def _phi_pair(vs, n, r, s):
+    pair = phi(vs, n)
+    return pair.phi, pair.phi_star
+
+
+ROUTES = [moment_lukasiewicz, moment_gmotzkin, moment_schroder,
+          moment_negative, u_power_entry, cmv_walk_entry, _phi_pair] + [
+    partial(schroder_weight_sum, skip_initial_vertical=skip_initial,
+            skip_terminal_vertical=skip_terminal)
+    for skip_initial in (True, False) for skip_terminal in (True, False)]
+
+
+@pytest.mark.parametrize("make, top", [(lambda: numeric_vs(11), 8),
+                                       (generic_vs, 4)],
+                         ids=["numeric", "generic"])
+def test_cache_order_never_changes_a_result(make, top):
+    # one long-lived sequence asked every cell, n up and then down, must
+    # give exactly what a fresh sequence gives for the same call alone
+    cells = [(n, r, s) for n in range(top + 1) for r in range(4)
+             for s in range(4)]
+    fresh = {(fn, cell): fn(make(), *cell) for fn in ROUTES for cell in cells}
+    vs = make()
+    for cell in cells + cells[::-1]:
+        for fn in ROUTES:
+            assert fn(vs, *cell) == fresh[fn, cell], (fn, cell)
