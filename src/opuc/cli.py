@@ -8,6 +8,7 @@ Verblunsky coefficient is zero, 3 enumeration cap exceeded.
 import argparse
 import csv
 import io
+import itertools
 import json
 import random
 import sys
@@ -22,11 +23,12 @@ from .errors import (EnumerationCapExceeded, PositivityViolation,
                      UnsupportedFamily, ZeroVerblunsky)
 from .families import (FAMILY_PARAMS, FamilySpec, closed_moment_nm,
                        closed_moment_nrs, family_mode, geronimus_gf_moment,
-                       nrs_from_nm, verblunsky_of)
-from .linearization import (expand_in_phistar_basis, phi_to_star_coeff,
-                            phi_to_star_coeff_paths, star_basis_change,
-                            star_overlap_matrix, star_pairing_oracle,
-                            star_to_phi_coeff, star_to_phi_coeff_negative,
+                       verblunsky_of)
+from .linearization import (PHI_BASIS, PHI_STAR_BASIS, ExpansionResult,
+                            phi_to_star_coeff, phi_to_star_coeff_paths,
+                            star_basis_change, star_overlap_matrix,
+                            star_pairing_oracle, star_to_phi_coeff,
+                            star_to_phi_coeff_negative,
                             star_to_phi_coeff_paths, star_to_star_coeff,
                             star_to_star_coeff_paths)
 from .matrices import (ScalarMatrix, cmv_walk_entry, det_identity_check,
@@ -42,9 +44,6 @@ EXIT_FAIL = 1
 EXIT_ZERO_ALPHA = 2
 EXIT_CAP = 3
 
-CROSS_METHODS = ("lukasiewicz", "gmotzkin", "schroder", "matrix_u",
-                 "matrix_cmv", "oracle")
-MOMENT_METHODS = CROSS_METHODS + ("closed", "all")
 VERIFY_SUITES = ("cross-model", "reciprocity", "determinants", "families",
                  "linearization", "positivity", "all")
 
@@ -260,32 +259,28 @@ def _config_echo(args, mode, extra=()):
 # moment
 
 
-def _moment_value(method, vs, spec, mode, n, r, s):
-    if method == "lukasiewicz":
-        return moment_lukasiewicz(vs, n, r, s)
-    if method == "gmotzkin":
-        return moment_gmotzkin(vs, n, r, s)
-    if method == "schroder":
-        return moment_schroder(vs, n, r, s)
-    if method == "matrix_u":
-        return u_power_entry(vs, n, r, s)
-    if method == "matrix_cmv":
-        return cmv_walk_entry(vs, n, r, s)
-    if method == "oracle":
-        return moment_oracle(vs, n, r, s)
-    if method == "closed":
-        if spec is None:
-            raise CliError("--method closed requires --family")
-        if spec.tag == "geronimus":
-            if r != 0:
-                raise CliError(
-                    "geronimus closed evaluation covers r = 0 only")
-            return geronimus_gf_moment(spec.value, n, s)
-        try:
-            return closed_moment_nrs(spec, n, r, s, mode)
-        except UnsupportedFamily as exc:
-            raise CliError(str(exc))
-    raise CliError("unknown method %r" % method)
+def _routes():
+    """Route name -> evaluator (vs, n, r, s) of mu(n, r, s), in report order.
+
+    Built from this module's names on each call, so that rebinding one of
+    them (a tracer, a test double) reaches every use of the route.
+    """
+    return {"lukasiewicz": moment_lukasiewicz, "gmotzkin": moment_gmotzkin,
+            "schroder": moment_schroder, "matrix_u": u_power_entry,
+            "matrix_cmv": cmv_walk_entry, "oracle": moment_oracle}
+
+
+def _closed_value(spec, mode, n, r, s):
+    if spec is None:
+        raise CliError("--method closed requires --family")
+    if spec.tag == "geronimus":
+        if r != 0:
+            raise CliError("geronimus closed evaluation covers r = 0 only")
+        return geronimus_gf_moment(spec.value, n, s)
+    try:
+        return closed_moment_nrs(spec, n, r, s, mode)
+    except UnsupportedFamily as exc:
+        raise CliError(str(exc))
 
 
 def cmd_moment(args):
@@ -293,12 +288,16 @@ def cmd_moment(args):
     n, r, s = args.n, args.r, args.s
     if min(n, r, s) < 0:
         raise CliError("n, r, s must be nonnegative")
-    methods = CROSS_METHODS if args.method == "all" else (args.method,)
+    routes = _routes()
+    methods = tuple(routes) if args.method == "all" else (args.method,)
     records, checks, skipped = [], [], []
     for method in methods:
         start = time.perf_counter()
         try:
-            value = _moment_value(method, vs, spec, mode, n, r, s)
+            if method == "closed":
+                value = _closed_value(spec, mode, n, r, s)
+            else:
+                value = routes[method](vs, n, r, s)
         except ZeroVerblunsky as exc:
             if args.method == "all":
                 skipped.append((method, exc.index))
@@ -438,35 +437,34 @@ def _check(checks, suite, name, ok, detail=""):
     return ok
 
 
-def _suite_cross_model(checks, maxn, mode, seed):
+def _sequences(mode, seed, count, length):
+    """The (label, vs) pairs a suite runs on.
+
+    Symbolic mode uses the generic sequence; numeric mode draws `count`
+    tables of `length` entries in turn from random.Random(seed).
+    """
     if mode == SYMBOLIC:
-        sequences = [("generic", VerblunskySequence.generic())]
-    else:
-        rng = random.Random(seed)
-        sequences = [
-            ("seq%d" % k,
-             VerblunskySequence.from_table(
-                 random_alpha_table(rng, 2 * maxn + 2), NUMERIC))
-            for k in range(3)]
-    for label, vs in sequences:
+        return [("generic", VerblunskySequence.generic())]
+    rng = random.Random(seed)
+    return [("seq%d" % k, VerblunskySequence.from_table(
+                random_alpha_table(rng, length), NUMERIC))
+            for k in range(count)]
+
+
+def _suite_cross_model(checks, maxn, mode, seed):
+    routes = _routes()
+    oracle = routes.pop("oracle")
+    for label, vs in _sequences(mode, seed, 3, 2 * maxn + 2):
         bad = []
-        for n in range(maxn + 1):
-            for r in range(maxn + 1):
-                for s in range(maxn + 1):
-                    ref = moment_oracle(vs, n, r, s)
-                    vals = {
-                        "lukasiewicz": moment_lukasiewicz(vs, n, r, s),
-                        "gmotzkin": moment_gmotzkin(vs, n, r, s),
-                        "matrix_u": u_power_entry(vs, n, r, s),
-                        "matrix_cmv": cmv_walk_entry(vs, n, r, s),
-                    }
-                    try:
-                        vals["schroder"] = moment_schroder(vs, n, r, s)
-                    except ZeroVerblunsky:
-                        pass
-                    for method, val in vals.items():
-                        if not values_close(val, ref):
-                            bad.append((n, r, s, method))
+        for n, r, s in itertools.product(range(maxn + 1), repeat=3):
+            ref = oracle(vs, n, r, s)
+            for method, route in routes.items():
+                try:
+                    val = route(vs, n, r, s)
+                except ZeroVerblunsky:
+                    continue
+                if not values_close(val, ref):
+                    bad.append((n, r, s, method))
         _check(checks, "cross-model", "agreement[%s]" % label, not bad,
                "mismatches: %s" % bad[:4] if bad else
                "all methods vs oracle, indices <= %d" % maxn)
@@ -475,41 +473,21 @@ def _suite_cross_model(checks, maxn, mode, seed):
 def _suite_reciprocity(checks, maxn, mode, seed):
     orientation = ("negative(n,r,s) * rho_product(0,s) / rho_product(0,r)"
                    " == conj(moment(n,s,r))")
-    if mode == SYMBOLIC:
-        vs = VerblunskySequence.generic()
-        compare = lambda a, b: a == b
-        ratio = lambda v, r, s: exact_div(v * vs.rho_product(0, s),
-                                          vs.rho_product(0, r))
-    else:
-        rng = random.Random(seed)
-        vs = VerblunskySequence.from_table(
-            random_alpha_table(rng, 2 * maxn + 2), NUMERIC)
-        compare = values_close
-        ratio = lambda v, r, s: (v * vs.rho_product(0, s)
-                                 / vs.rho_product(0, r))
+    [(_, vs)] = _sequences(mode, seed, 1, 2 * maxn + 2)
     bad = []
-    for n in range(maxn + 1):
-        for r in range(maxn + 1):
-            for s in range(maxn + 1):
-                lhs = ratio(moment_negative(vs, n, r, s), r, s)
-                rhs = conjugate(moment_lukasiewicz(vs, n, s, r))
-                if not compare(lhs, rhs):
-                    bad.append((n, r, s))
+    for n, r, s in itertools.product(range(maxn + 1), repeat=3):
+        lhs = exact_div(moment_negative(vs, n, r, s) * vs.rho_product(0, s),
+                        vs.rho_product(0, r))
+        if not values_close(lhs, conjugate(moment_lukasiewicz(vs, n, s, r))):
+            bad.append((n, r, s))
     _check(checks, "reciprocity", "rho-ratio conjugation", not bad,
            orientation if not bad else "mismatches: %s" % bad[:4])
 
 
 def _suite_determinants(checks, maxn, mode, seed):
-    if mode == SYMBOLIC:
-        vs = VerblunskySequence.generic()
-        compare = lambda a, b: a == b
-    else:
-        rng = random.Random(seed)
-        vs = VerblunskySequence.from_table(
-            random_alpha_table(rng, maxn + 4), NUMERIC)
-        compare = values_close
+    [(_, vs)] = _sequences(mode, seed, 1, maxn + 4)
     bad = [n for n in range(maxn + 1)
-           if not compare(toeplitz_det(vs, n), rho_power_product(vs, n))]
+           if not values_close(toeplitz_det(vs, n), rho_power_product(vs, n))]
     _check(checks, "determinants", "toeplitz vs rho powers", not bad,
            "orders 0..%d" % maxn if not bad else "failed orders: %s" % bad)
     bad = []
@@ -582,24 +560,20 @@ def _suite_linearization(checks, maxn, mode, seed):
             pairs = (
                 ("phi/phi", phi(vs, r).phi.shift(n),
                  [conjugate(moment_lukasiewicz(vs, n, r, s))
-                  for s in range(width)], "phi"),
+                  for s in range(width)], PHI_BASIS),
                 ("star/phi", phi(vs, r).phi_star.shift(n),
                  [conjugate(star_to_phi_coeff(vs, n, r, s))
-                  for s in range(width)], "phi"),
+                  for s in range(width)], PHI_BASIS),
                 ("phi/star", phi(vs, r).phi.shift(n),
                  [conjugate(phi_to_star_coeff(vs, n, r, s))
-                  for s in range(width)], "star"),
+                  for s in range(width)], PHI_STAR_BASIS),
                 ("star/star", phi(vs, r).phi_star.shift(n),
                  [conjugate(star_to_star_coeff(vs, n, r, s))
-                  for s in range(width)], "star"),
+                  for s in range(width)], PHI_STAR_BASIS),
             )
             for name, target, coeffs, basis in pairs:
-                acc = target - target
-                for s, c in enumerate(coeffs):
-                    base = phi(vs, s)
-                    poly = base.phi if basis == "phi" else base.phi_star
-                    acc = acc + poly.scale(c)
-                if acc != target:
+                rebuilt = ExpansionResult(target, basis, coeffs)
+                if rebuilt.reconstruct(vs) != target:
                     bad.append((name, n, r))
     _check(checks, "linearization", "round-trips", not bad,
            "four expansions, n + r <= %d" % top if not bad
@@ -732,7 +706,7 @@ def build_parser():
     p.add_argument("-n", type=int, default=0)
     p.add_argument("-r", type=int, default=0)
     p.add_argument("-s", type=int, default=0)
-    p.add_argument("--method", choices=MOMENT_METHODS,
+    p.add_argument("--method", choices=tuple(_routes()) + ("closed", "all"),
                    default="lukasiewicz")
     _add_output_flags(p)
     p.set_defaults(handler=cmd_moment)

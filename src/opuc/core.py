@@ -8,12 +8,10 @@ solving two unit-lower-triangular systems, and the sesquilinear form is
 <f, g> = L(f(z) * conj(g)(1/z)).
 """
 
-from fractions import Fraction
-
 from .algebra import (SYMBOLIC, NUMERIC, ExactScalar, LaurentPoly,
-                      alpha as sym_alpha, alpha_bar as sym_alpha_bar,
-                      as_mode_scalar, bar_inverse_substitute, conjugate,
-                      exact_div, one_of, zero_of)
+                      alpha as sym_alpha, as_mode_scalar,
+                      bar_inverse_substitute, conjugate, exact_div, one_of,
+                      zero_of)
 
 
 class VerblunskySequence:
@@ -23,9 +21,9 @@ class VerblunskySequence:
     |alpha_j| < 1 for every accessed j; symbolic mode cannot check this
     and leaves it as a caller obligation.  Instances are treated as
     immutable; the caches only memoize pure functions of the sequence.
-    Every table that grows with n (the phi pairs, each path model's
-    columns, the transfer rows and the theta blocks) is a list in
-    `cache`, extended by `sweep`.
+    Every table that grows with n (the phi pairs, the classical moments,
+    each path model's columns, the transfer rows and the theta blocks) is
+    a list in `cache`, extended by `sweep`.
     """
 
     def __init__(self, accessor, mode, source="table"):
@@ -33,8 +31,6 @@ class VerblunskySequence:
         self.source = source
         self._accessor = accessor
         self._alphas = {}
-        self._mu_pos = [one_of(mode)]
-        self._mu_neg = [one_of(mode)]
         self.cache = {}
 
     @classmethod
@@ -177,25 +173,28 @@ def moments_from_phis(vs, N):
 
     The two systems are solved independently (the negative-index run
     never conjugates the positive one), so downstream reciprocity checks
-    are genuine tests.  Results are cached on the sequence and extended
-    lazily.  Returns (nonneg, nonpos) with nonneg[k] = mu_k and
-    nonpos[k] = mu_{-k}.
+    are genuine tests.  The pairs (mu_n, mu_{-n}) are one swept table.
+    Returns (nonneg, nonpos) with nonneg[k] = mu_k and nonpos[k] = mu_{-k}.
     """
-    pos, neg = vs._mu_pos, vs._mu_neg
-    while len(pos) <= N:
-        n = len(pos)
-        p = phi(vs, n).phi
-        acc_neg = zero_of(vs.mode)
-        acc_pos = zero_of(vs.mode)
-        for k in range(n):
-            c = p.coeff(k)
-            if not c:
-                continue
-            acc_neg = acc_neg + c * neg[k]
-            acc_pos = acc_pos + conjugate(c) * pos[k]
-        neg.append(-acc_neg)
-        pos.append(-acc_pos)
-    return pos[:N + 1], neg[:N + 1]
+    pairs = vs.sweep(("moments",), N, _moment_pair_step)[:N + 1]
+    return [pos for pos, _ in pairs], [neg for _, neg in pairs]
+
+
+def _moment_pair_step(vs, pairs):
+    n = len(pairs)
+    if not n:
+        return one_of(vs.mode), one_of(vs.mode)
+    p = phi(vs, n).phi
+    acc_neg = zero_of(vs.mode)
+    acc_pos = zero_of(vs.mode)
+    for k in range(n):
+        c = p.coeff(k)
+        if not c:
+            continue
+        pos, neg = pairs[k]
+        acc_neg = acc_neg + c * neg
+        acc_pos = acc_pos + conjugate(c) * pos
+    return -acc_pos, -acc_neg
 
 
 def functional_eval(vs, f):
@@ -203,10 +202,12 @@ def functional_eval(vs, f):
     if f.is_zero:
         return zero_of(vs.mode)
     need = max(abs(f.valuation()), abs(f.degree()))
-    pos, neg = moments_from_phis(vs, need)
+    # reads the (mu_n, mu_{-n}) table in place: splitting it as
+    # moments_from_phis does costs O(need) on every call
+    pairs = vs.sweep(("moments",), need, _moment_pair_step)
     out = zero_of(vs.mode)
     for k, c in f.coeffs.items():
-        out = out + c * (neg[k] if k >= 0 else pos[-k])
+        out = out + c * (pairs[k][1] if k >= 0 else pairs[-k][0])
     return out
 
 
@@ -227,8 +228,15 @@ def moment_oracle(vs, n, r, s):
     hit = vs.cache.get(key)
     if hit is not None:
         return hit
+    norm = kappa(vs, s)
+    if not norm:
+        zeros = [j for j in range(s) if not vs.rho(j)]
+        raise ValueError(
+            "the oracle divides by <phi_%d, phi_%d>, which is 0: %s"
+            % (s, s, "rho_%d = 0" % zeros[0] if zeros
+               else "the product of rho_j underflows"))
     num = inner_product(vs, phi(vs, s).phi, phi(vs, r).phi.shift(n))
-    val = exact_div(num, kappa(vs, s))
+    val = exact_div(num, norm)
     vs.cache[key] = val
     return val
 

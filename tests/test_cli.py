@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from opuc import cli
 from opuc.cli import (CliError, literal_value, main, parse_complex_literal,
                       random_alpha_table)
 
@@ -96,6 +97,36 @@ def test_moment_all_skips_the_undefined_method(capsys):
     assert "skipped: zero alpha_0" in out
     assert "schroder" in out
     assert "agreement: PASS" in out
+
+
+def test_moment_oracle_refuses_a_unit_circle_coefficient(capsys):
+    # symbolic geronimus admits |alpha| = 1, so rho_0 = 0 and phi_1 has norm
+    # 0; the oracle divides by that norm, the path routes do not
+    argv = ("moment", "--family", "geronimus", "--param", "alpha=1",
+            "-n", "2", "-r", "1", "-s", "1", "--method")
+    for method in ("oracle", "all"):
+        code, out, err = _run(capsys, *argv, method)
+        assert code == 1 and out == ""
+        assert err == ("error: the oracle divides by <phi_1, phi_1>, which "
+                       "is 0: rho_0 = 0\n")
+    code, out, err = _run(capsys, *argv, "lukasiewicz")
+    assert code == 0 and out.startswith("mu(2,1,1) lukasiewicz  = 1 ")
+
+
+def test_a_wrong_route_fails_both_cross_checks(capsys, monkeypatch):
+    # the route table is read at call time, so a rebound route is used by
+    # `moment --method all` and by the cross-model suite alike
+    monkeypatch.setattr(cli, "moment_gmotzkin",
+                        lambda vs, n, r, s: 7 * vs.one())
+    code, out, err = _run(capsys, "verify", "--suite", "cross-model",
+                          "--max", "1")
+    assert code == 1
+    [chk] = json.loads(out)["checks"]
+    assert chk["status"] == "fail" and "gmotzkin" in chk["detail"]
+    code, out, err = _run(capsys, "moment", "-n", "1", "--method", "all")
+    assert code == 1
+    assert "mu(1,0,0) gmotzkin     = 7 " in out
+    assert out.endswith("agreement: FAIL\n")
 
 
 def test_moment_closed_method(capsys):

@@ -254,3 +254,16 @@ def test_oracle_numeric_agrees_with_itself_rebuilt():
 def test_oracle_rejects_negative_degrees():
     with pytest.raises(ValueError):
         moment_oracle(generic_vs(), 1, -1, 0)
+
+
+def test_oracle_refuses_a_zero_norm():
+    # |alpha_1| = 1 makes rho_1 = 0 exactly; a product of tiny rho_j can
+    # also reach 0 in floating point
+    unit = VerblunskySequence.from_table([Fraction(1, 2), -1, 0, 0],
+                                         SYMBOLIC)
+    assert moment_oracle(unit, 1, 0, 1) == 1
+    with pytest.raises(ValueError, match="rho_1 = 0"):
+        moment_oracle(unit, 1, 0, 2)
+    tiny = VerblunskySequence.from_table([0.99999999] * 60, NUMERIC)
+    with pytest.raises(ValueError, match="underflows"):
+        moment_oracle(tiny, 1, 0, 50)

@@ -34,7 +34,10 @@ GRID = (
        for n, r, s in (("1", "0", "0"), ("2", "1", "2"), ("3", "0", "0"),
                        ("3", "2", "1"))]
     + [("moment", "--alphas", "1/2,1/3,2/5+1/5i", "-n", "2", "-s", "1",
-        "--method", "all", "--format", "json")]
+        "--method", "all", "--format", "json"),
+       # alpha_0 = 0 here, so the Schröder route is skipped
+       ("moment", "--family", "al-salam-carlitz", "--param", "q=1/2",
+        "-n", "2", "--method", "all", "--format", "json")]
     + [("paths", "--model", model, "-n", n, "-r", r, "-s", s)
        for model, n, r, s in (("lukasiewicz", "3", "1", "1"),
                               ("gmotzkin", "2", "1", "0"),

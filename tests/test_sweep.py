@@ -5,7 +5,7 @@ from functools import partial
 
 import pytest
 
-from opuc.core import phi
+from opuc.core import moments_from_phis, phi
 from opuc.matrices import cmv_walk_entry, u_power_entry
 from opuc.paths import (moment_gmotzkin, moment_lukasiewicz, moment_negative,
                         moment_schroder, schroder_weight_sum)
@@ -38,8 +38,13 @@ def _phi_pair(vs, n, r, s):
     return pair.phi, pair.phi_star
 
 
+def _moments(vs, n, r, s):
+    return moments_from_phis(vs, n + r)
+
+
 ROUTES = [moment_lukasiewicz, moment_gmotzkin, moment_schroder,
-          moment_negative, u_power_entry, cmv_walk_entry, _phi_pair] + [
+          moment_negative, u_power_entry, cmv_walk_entry, _phi_pair,
+          _moments] + [
     partial(schroder_weight_sum, skip_initial_vertical=skip_initial,
             skip_terminal_vertical=skip_terminal)
     for skip_initial in (True, False) for skip_terminal in (True, False)]
