@@ -22,9 +22,26 @@ rejected by the symbolic side to preserve exactness.
 Convention: symbol index -1 encodes the boundary value alpha_{-1} = -1.
 Constructors eliminate it immediately, so stored symbols always have
 index >= 0.
+
+Packed monomials: an ExactScalar stores each monomial as one Python int,
+the sum of e_f << 16*f over signed 16-bit exponent fields (Kronecker
+substitution).  Field 0 holds the exponent of t, field 1+2j that of a_j
+and field 2+2j that of ab_j.  A monomial product is then one int
+addition, and conjugation swaps neighbouring fields.  Every exponent
+must stay within +-EXPONENT_LIMIT (32767): each scalar carries a bound
+on its exponents (the sum of the factors' bounds for a product, their
+maximum for a sum), and a product whose bound would pass the limit
+raises OverflowError rather than let a field wrap.  Keys are decoded
+into (Symbol, exponent) pairs only for evaluation, beta_form and the
+like; the text form reads the fields directly and prints the terms in
+the order of those pairs, so it is unchanged by the packing.
 """
 
+import heapq
+import sys
+from array import array
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ExactDivisionError
@@ -143,6 +160,100 @@ class Symbol(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
+# packed monomials (layout in the module docstring); ascending field order
+# is the symbol order
+
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+_HALF = 1 << (_BITS - 1)
+EXPONENT_LIMIT = _HALF - 1  # the largest |exponent| a field holds
+_first, _second = itemgetter(0), itemgetter(1)
+
+
+def _decode(key):
+    """The nonzero (field, exponent) pairs of a packed key, fields ascending.
+
+    Biasing every field by 2**15 makes it nonnegative, so one to_bytes
+    splits the key into its fields; a zero exponent reads as 2**15.
+    """
+    if not key:
+        return []
+    nf = (abs(key).bit_length() >> 4) + 1
+    bias = ((1 << (_BITS * nf)) - 1) // _MASK * _HALF
+    fields = array("H", (key + bias).to_bytes(2 * nf, sys.byteorder))
+    return [(f, d - _HALF) for f, d in enumerate(fields) if d != _HALF]
+
+
+def pack_monomial(m, te=0):
+    """Packed key of a monomial ((Symbol, exponent), ...) times t**te."""
+    key = te
+    for s, e in m:
+        if not -EXPONENT_LIMIT <= e <= EXPONENT_LIMIT:
+            raise OverflowError("exponent %d of %s exceeds %d"
+                                % (e, s, EXPONENT_LIMIT))
+        key += e << (_BITS * (1 + 2 * s.index + s.barred))
+    return key
+
+
+def unpack_monomial(key):
+    """(((Symbol, exponent), ...), t exponent) of a packed key."""
+    pairs = _decode(key)
+    te = 0
+    if pairs and pairs[0][0] == 0:
+        te = pairs[0][1]
+        pairs = pairs[1:]
+    return tuple((Symbol((f - 1) >> 1, not f & 1), e) for f, e in pairs), te
+
+
+class _Chunk(dict):
+    """Memo of chunk i of biased keys: a 64-bit chunk (symbol fields
+    4i..4i+3) -> its sort bytes and its factor text.
+
+    Each nonzero field f with biased exponent d adds the eight big-endian
+    bytes of f << 16 | d, so comparing a term's joined sort bytes compares
+    the ((Symbol, exp), ...) tuple it stands for.  Keys share few distinct
+    chunks, so most lookups hit.
+    """
+
+    __slots__ = ("i",)
+
+    def __init__(self, i):
+        self.i = i
+
+    def __missing__(self, chunk):
+        keys, names = [], []
+        for j in range(4):
+            f, d = 4 * self.i + j, chunk >> (_BITS * j) & _MASK
+            if d == _HALF or not f:
+                continue
+            e = d - _HALF
+            keys.append((f << _BITS | d).to_bytes(8, "big"))
+            names.append(("a%d" if f & 1 else "ab%d") % ((f - 1) >> 1)
+                         + ("" if e == 1 else "^%d" % e))
+        out = self[chunk] = (b"".join(keys), "*".join(names))
+        return out
+
+
+# _CHUNKS[i] is the memo of chunk i, emptied with the others once they
+# hold more than _CHUNKS_KEPT entries in all
+_CHUNKS = []
+_CHUNKS_KEPT = 4096
+
+
+def _swap_bars(key):
+    """The key with a_j and ab_j exchanged (fields 1+2j and 2+2j)."""
+    if -_HALF < key < _HALF:  # a power of t alone
+        return key
+    return sum(e << (_BITS * (f + 1 if f & 1 else f - 1)) if f else e
+               for f, e in _decode(key))
+
+
+def _bound(keys):
+    """The largest |exponent| of a symbol (t excluded) over packed keys."""
+    return max((abs(e) for k in keys for f, e in _decode(k) if f), default=0)
+
+
+# ---------------------------------------------------------------------------
 # coefficient helpers: coefficients are int, Fraction, or GaussianRational,
 # always kept in the simplest of the three so the common all-integer
 # dynamic programs never touch Fraction arithmetic.
@@ -180,35 +291,6 @@ def _cconj(x):
     return x.conjugate() if isinstance(x, GaussianRational) else x
 
 
-def _merge_monom(m1, m2):
-    """Merge two sorted ((Symbol, exp), ...) tuples, adding exponents."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        s1, e1 = m1[i]
-        s2, e2 = m2[j]
-        if s1 == s2:
-            e = e1 + e2
-            if e:
-                out.append((s1, e))
-            i += 1
-            j += 1
-        elif s1 < s2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
-
-
 def _join_tsq(a, b):
     if a is None:
         return b
@@ -217,43 +299,50 @@ def _join_tsq(a, b):
     raise ValueError("incompatible adjoined roots: t^2=%s vs t^2=%s" % (a, b))
 
 
+def _scalar(terms, tsq, bound):
+    out = ExactScalar.__new__(ExactScalar)
+    out.terms = terms
+    out.tsq = tsq
+    out.bound = bound
+    return out
+
+
 class ExactScalar:
     """Sparse Laurent polynomial in the Verblunsky symbols.
 
-    terms maps (monomial, t_exponent) to a coefficient, where monomial
-    is a sorted tuple of (Symbol, nonzero integer exponent) pairs.
-    Exponents may be negative (several step weights and linearization
-    formulas divide by alpha-bars).  When tsq is set, the generator t
-    obeys t**2 = tsq and stored t exponents are reduced to 0 or 1.
-    Instances are immutable: every operation builds a new one.
+    terms maps a packed monomial key (see pack_monomial) to a nonzero
+    coefficient.  Exponents may be negative (several step weights and
+    linearization formulas divide by alpha-bars).  When tsq is set, the
+    generator t obeys t**2 = tsq and stored t exponents are reduced to 0
+    or 1.  bound is at least the largest |exponent| of any symbol; a
+    product whose bound would pass EXPONENT_LIMIT raises OverflowError
+    instead of letting a field wrap.  Instances are immutable: every
+    operation builds a new one.
     """
 
-    __slots__ = ("terms", "tsq")
+    __slots__ = ("terms", "tsq", "bound")
 
     def __init__(self, terms=None, tsq=None):
         if tsq is not None and not isinstance(tsq, Fraction):
             tsq = Fraction(tsq)
         clean = {}
-        if terms:
-            for key, c in terms.items():
-                c = _cnorm(c)
-                if c == 0:
-                    continue
-                m, te = key
-                if te and tsq is not None and te not in (0, 1):
-                    qp, te = divmod(te, 2)
-                    c = _cmul(c, tsq ** qp)
-                    c0 = clean.get((m, te))
-                    if c0 is not None:
-                        c = _cadd(c0, c)
-                        if c == 0:
-                            del clean[(m, te)]
-                            continue
-                elif te and tsq is None:
-                    raise ValueError("t exponent present without t^2 value")
-                clean[(m, te)] = c
+        for key, c in (terms or {}).items():
+            c = _cnorm(c)
+            if c == 0:
+                continue
+            te = ((key + _HALF) & _MASK) - _HALF
+            if te and tsq is None:
+                raise ValueError("t exponent present without t^2 value")
+            if te not in (0, 1):
+                qp, te = divmod(te, 2)
+                key -= 2 * qp
+                c = _cmul(c, tsq ** qp)
+            c = _cadd(clean.pop(key, 0), c)
+            if c != 0:
+                clean[key] = c
         self.terms = clean
         self.tsq = tsq
+        self.bound = _bound(clean)
 
     # -- coercion ----------------------------------------------------------
 
@@ -262,7 +351,8 @@ class ExactScalar:
         if isinstance(x, ExactScalar):
             return x
         if isinstance(x, (int, Fraction, GaussianRational)):
-            return ExactScalar({((), 0): x})
+            x = _cnorm(x)
+            return _scalar({0: x} if x != 0 else {}, None, 0)
         return None
 
     @property
@@ -276,36 +366,42 @@ class ExactScalar:
         """The coefficient of the empty monomial, or None if non-constant."""
         if not self.terms:
             return 0
-        if len(self.terms) == 1 and ((), 0) in self.terms:
-            return self.terms[((), 0)]
+        if len(self.terms) == 1 and 0 in self.terms:
+            return self.terms[0]
         return None
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        tsq = _join_tsq(self.tsq, other.tsq)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = _cadd(terms.get(k, 0), c)
-            if acc == 0:
-                terms.pop(k, None)
+        if not isinstance(other, ExactScalar):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        tsq = self.tsq
+        if other.tsq is not tsq:
+            tsq = _join_tsq(tsq, other.tsq)
+        big, small = self.terms, other.terms
+        if len(big) < len(small):
+            big, small = small, big
+        terms = dict(big)
+        for k, c in small.items():
+            old = terms.get(k)
+            if old is None:
+                terms[k] = c
+                continue
+            c = old + c if type(old) is int and type(c) is int \
+                else _cadd(old, c)
+            if c:
+                terms[k] = c
             else:
-                terms[k] = acc
-        out = ExactScalar.__new__(ExactScalar)
-        out.terms = terms
-        out.tsq = tsq
-        return out
+                del terms[k]
+        return _scalar(terms, tsq, max(self.bound, other.bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = ExactScalar.__new__(ExactScalar)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        out.tsq = self.tsq
-        return out
+        return _scalar({k: -c for k, c in self.terms.items()}, self.tsq,
+                       self.bound)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -320,29 +416,55 @@ class ExactScalar:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        tsq = _join_tsq(self.tsq, other.tsq)
-        terms = {}
-        for (m1, t1), c1 in self.terms.items():
-            for (m2, t2), c2 in other.terms.items():
-                c = _cmul(c1, c2)
-                m = _merge_monom(m1, m2)
-                te = t1 + t2
-                if te and te not in (0, 1):
-                    qp, te = divmod(te, 2)
-                    c = _cmul(c, tsq ** qp)
-                key = (m, te)
-                acc = _cadd(terms.get(key, 0), c)
-                if acc == 0:
-                    terms.pop(key, None)
+        if not isinstance(other, ExactScalar):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        tsq = self.tsq
+        if other.tsq is not tsq:
+            tsq = _join_tsq(tsq, other.tsq)
+        bound = self.bound + other.bound
+        if bound > EXPONENT_LIMIT:
+            raise OverflowError("a product's exponents may exceed %d"
+                                % EXPONENT_LIMIT)
+        big, small = self.terms, other.terms
+        if len(big) < len(small):
+            big, small = small, big
+        if len(small) == 1:
+            # most products scale a row by one monomial: the keys shift
+            # injectively, so no two products meet
+            (k0, c0), = small.items()
+            if c0 == 1:
+                terms = {k + k0: c for k, c in big.items()}
+            else:
+                terms = {k + k0: _cmul(c, c0) for k, c in big.items()}
+        else:
+            terms = {}
+            get = terms.get
+            for k1, c1 in small.items():
+                for k2, c2 in big.items():
+                    k = k1 + k2
+                    c = c1 * c2 if type(c1) is int and type(c2) is int \
+                        else _cmul(c1, c2)
+                    old = get(k)
+                    if old is None:
+                        terms[k] = c
+                        continue
+                    c = old + c if type(old) is int and type(c) is int \
+                        else _cadd(old, c)
+                    if c:
+                        terms[k] = c
+                    else:
+                        del terms[k]
+        if tsq is not None:
+            # t*t = tsq: fold every t^2 term onto its t^0 key
+            for k in [k for k in terms if k & _MASK == 2]:
+                c = _cadd(terms.get(k - 2, 0), _cmul(terms.pop(k), tsq))
+                if c:
+                    terms[k - 2] = c
                 else:
-                    terms[key] = acc
-        out = ExactScalar.__new__(ExactScalar)
-        out.terms = terms
-        out.tsq = tsq
-        return out
+                    terms.pop(k - 2, None)
+        return _scalar(terms, tsq, bound)
 
     __rmul__ = __mul__
 
@@ -351,16 +473,15 @@ class ExactScalar:
         if len(self.terms) != 1:
             raise ExactDivisionError(
                 "only single-term symbolic scalars are invertible")
-        ((m, te), c), = self.terms.items()
-        im = tuple((s, -e) for s, e in m)
-        return ExactScalar({(im, -te): _cdiv(1, c)}, self.tsq)
+        (k, c), = self.terms.items()
+        return ExactScalar({-k: _cdiv(1, c)}, self.tsq)
 
     def __pow__(self, n):
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
         if n < 0:
             return self.inverse() ** (-n)
-        result = ExactScalar({((), 0): 1}, self.tsq)
+        result = ExactScalar({0: 1}, self.tsq)
         base = self
         while n:
             if n & 1:
@@ -386,12 +507,8 @@ class ExactScalar:
         return other / self
 
     def conjugate(self):
-        terms = {}
-        for (m, te), c in self.terms.items():
-            cm = tuple(sorted((Symbol(s.index, not s.barred), e)
-                              for s, e in m))
-            terms[(cm, te)] = _cconj(c)
-        return ExactScalar(terms, self.tsq)
+        return _scalar({_swap_bars(k): _cconj(c)
+                        for k, c in self.terms.items()}, self.tsq, self.bound)
 
     # -- queries -----------------------------------------------------------
 
@@ -405,14 +522,15 @@ class ExactScalar:
         return hash(frozenset(self.terms.items()))
 
     def symbol_indices(self):
-        return sorted({s.index for (m, _), _ in self.terms.items()
-                       for s, _ in m})
+        return sorted({(f - 1) >> 1 for k in self.terms
+                       for f, _ in _decode(k) if f})
 
     def evaluate(self, assignment):
         """Numeric value with alpha_j = assignment[j] (ab_j its conjugate)."""
         total = 0j
         tval = None
-        for (m, te), c in self.terms.items():
+        for k, c in self.terms.items():
+            m, te = unpack_monomial(k)
             v = complex(c)
             for s, e in m:
                 if s.index not in assignment:
@@ -432,98 +550,121 @@ class ExactScalar:
     def __str__(self):
         if not self.terms:
             return "0"
+        # one to_bytes splits a biased key into 64-bit chunks of four
+        # fields each; the t exponent is field 0 and sorts last
+        nq = (max(map(abs, self.terms)).bit_length() >> 6) + 1
+        bias = ((1 << (64 * nq)) - 1) // _MASK * _HALF
+        size, order = 8 * nq, sys.byteorder
+        if sum(map(len, _CHUNKS)) > _CHUNKS_KEPT:
+            _CHUNKS.clear()
+        while len(_CHUNKS) < nq:
+            _CHUNKS.append(_Chunk(len(_CHUNKS)))
+        has_t = self.tsq is not None
+        rows = []
+        for k, c in self.terms.items():
+            q = array("Q", (k + bias).to_bytes(size, order))
+            frags = list(map(_Chunk.__getitem__, _CHUNKS, q))
+            te = (q[0] & _MASK) - _HALF if has_t else 0
+            rows.append((b"".join(map(_first, frags)), te, frags, c))
+        rows.sort()
         parts = []
-        for (m, te) in sorted(self.terms):
-            c = self.terms[(m, te)]
-            factors = []
-            for s, e in m:
-                factors.append(str(s) if e == 1 else "%s^%d" % (s, e))
+        for _, te, frags, c in rows:
+            body = "*".join(filter(None, map(_second, frags)))
             if te:
-                factors.append("t" if te == 1 else "t^%d" % te)
-            body = "*".join(factors)
+                body += ("*" if body else "") + ("t" if te == 1
+                                                 else "t^%d" % te)
             cs = str(c)
-            if body:
-                if cs == "1":
-                    text = body
-                elif cs == "-1":
-                    text = "-" + body
-                else:
-                    text = cs + "*" + body
-            else:
+            if not body:
                 text = cs
-            parts.append(text)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+            elif cs == "1":
+                text = body
+            elif cs == "-1":
+                text = "-" + body
+            else:
+                text = cs + "*" + body
+            parts.append(" - " + text[1:] if text[0] == "-"
+                         else " + " + text)
+        out = "".join(parts)[3:]
+        return "-" + out if parts[0][1] == "-" else out
 
     __repr__ = __str__
+
+
+def _lift(terms):
+    """Shift packed keys to nonnegative exponents.
+
+    Returns ({shifted key: (total degree, coefficient)}, shift key); the
+    shift key is subtracted from every key.
+    """
+    decoded = [(k, _decode(k)) for k in terms]
+    low = {}
+    for _, pairs in decoded:
+        for f, e in pairs:
+            if e < low.get(f, 0):
+                low[f] = e
+    shift = sum(e << (_BITS * f) for f, e in low.items())
+    base = sum(low.values())
+    lifted = {k - shift: (sum(e for _, e in pairs) - base, terms[k])
+              for k, pairs in decoded}
+    if max((d for d, _ in lifted.values()), default=0) > EXPONENT_LIMIT:
+        raise OverflowError("division needs exponents beyond %d"
+                            % EXPONENT_LIMIT)
+    return lifted, shift
 
 
 def _exact_divide(f, g):
     """Exact quotient f/g in the symbol ring; raises if not divisible.
 
     Laurent supports are first shifted to nonnegative exponents, then a
-    graded-lex long division by the single divisor g runs; for divisible
-    inputs every intermediate remainder is a multiple of g, so the
-    leading-term division never fails.  Multi-term divisors containing
-    the adjoined root t are not supported (never needed).
+    long division by the single divisor g runs in graded order (total
+    degree, then the packed key); a heap yields each remainder's leading
+    term.  For divisible inputs every intermediate remainder is a
+    multiple of g, so the leading-term division never fails.  Multi-term
+    divisors containing the adjoined root t are not supported (never
+    needed).
     """
-    if any(te for (_, te) in f.terms) or any(te for (_, te) in g.terms):
+    if any(k & _MASK for k in f.terms) or any(k & _MASK for k in g.terms):
         raise ExactDivisionError(
             "division by multi-term scalars with the adjoined root")
     tsq = _join_tsq(f.tsq, g.tsq)
-    variables = sorted({s for (m, _) in f.terms for s, _ in m} |
-                       {s for (m, _) in g.terms for s, _ in m})
-    index = {s: i for i, s in enumerate(variables)}
-    nv = len(variables)
-
-    def to_vec(terms):
-        out = {}
-        for (m, _), c in terms.items():
-            v = [0] * nv
-            for s, e in m:
-                v[index[s]] = e
-            out[tuple(v)] = c
-        return out
-
-    fv, gv = to_vec(f.terms), to_vec(g.terms)
-    shift_f = [min((0,) + tuple(k[i] for k in fv)) for i in range(nv)]
-    shift_g = [min((0,) + tuple(k[i] for k in gv)) for i in range(nv)]
-    fv = {tuple(k[i] - shift_f[i] for i in range(nv)): c
-          for k, c in fv.items()}
-    gv = {tuple(k[i] - shift_g[i] for i in range(nv)): c
-          for k, c in gv.items()}
-
-    def order(k):
-        return (sum(k), k)
-
-    glead = max(gv, key=order)
-    gc = gv[glead]
+    fv, shift_f = _lift(f.terms)
+    gv, shift_g = _lift(g.terms)
+    glead = max(gv, key=lambda k: (gv[k][0], k))
+    gdeg, gc = gv[glead]
+    # g's other terms, relative to its leading one
+    tail = [(k - glead, d - gdeg, c) for k, (d, c) in gv.items()
+            if k != glead]
+    rem = {k: c for k, (_, c) in fv.items()}
+    heap = [(-d, -k) for k, (d, _) in fv.items()]
+    heapq.heapify(heap)
     quot = {}
-    rem = dict(fv)
     while rem:
-        rlead = max(rem, key=order)
-        diff = tuple(rlead[i] - glead[i] for i in range(nv))
-        if any(d < 0 for d in diff):
+        negdeg, negkey = heapq.heappop(heap)
+        lead = -negkey
+        c = rem.pop(lead, None)
+        if c is None:  # cancelled since it was pushed
+            continue
+        diff = lead - glead
+        if any(e < 0 for _, e in _decode(diff)):
             raise ExactDivisionError("nonzero remainder in symbolic division")
-        qc = _cdiv(rem[rlead], gc)
-        quot[diff] = qc
-        for k, c in gv.items():
-            kk = tuple(k[i] + diff[i] for i in range(nv))
-            acc = _cadd(rem.get(kk, 0), -_cmul(qc, c))
-            if acc == 0:
-                rem.pop(kk, None)
-            else:
+        qc = _cdiv(c, gc)
+        quot[diff + shift_f - shift_g] = qc
+        for dk, dd, tc in tail:
+            kk = lead + dk
+            sub = -_cmul(qc, tc)
+            old = rem.get(kk)
+            if old is None:
+                rem[kk] = sub
+                heapq.heappush(heap, (negdeg - dd, -kk))
+                continue
+            acc = _cadd(old, sub)
+            if acc:
                 rem[kk] = acc
-
-    terms = {}
-    for k, c in quot.items():
-        m = tuple((variables[i], k[i] + shift_f[i] - shift_g[i])
-                  for i in range(nv)
-                  if k[i] + shift_f[i] - shift_g[i] != 0)
-        terms[(m, 0)] = c
-    return ExactScalar(terms, tsq)
+            else:
+                del rem[kk]
+    # the Newton polytope of f is that of q plus that of g, so every
+    # exponent of q lies within f.bound + g.bound
+    return _scalar(quot, tsq, f.bound + g.bound)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +676,7 @@ def sym(j, barred=False):
         return gauss(-1)
     if j < -1:
         raise ValueError("symbol index must be >= -1, got %d" % j)
-    return ExactScalar({(((Symbol(j, barred), 1),), 0): 1})
+    return ExactScalar({pack_monomial(((Symbol(j, barred), 1),)): 1})
 
 
 def alpha(j):
@@ -548,7 +689,7 @@ def alpha_bar(j):
 
 def gauss(re, im=0):
     """A constant symbolic scalar with exact rational parts."""
-    return ExactScalar({((), 0): GaussianRational(re, im)})
+    return ExactScalar({0: GaussianRational(re, im)})
 
 
 def t_root(q):
@@ -556,11 +697,11 @@ def t_root(q):
     q = Fraction(q)
     if q <= 0:
         raise ValueError("t^2 must be a positive rational, got %s" % q)
-    return ExactScalar({((), 1): 1}, tsq=q)
+    return ExactScalar({1: 1}, tsq=q)
 
 
 SYM_ZERO = ExactScalar()
-SYM_ONE = ExactScalar({((), 0): 1})
+SYM_ONE = ExactScalar({0: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +740,7 @@ def as_mode_scalar(x, mode):
         if isinstance(x, ExactScalar):
             return x
         if isinstance(x, (int, Fraction, GaussianRational)):
-            return ExactScalar({((), 0): x})
+            return ExactScalar({0: x})
         raise TypeError("cannot use %r in symbolic mode" % type(x))
     if isinstance(x, ExactScalar):
         c = x.constant_value()
@@ -644,7 +785,8 @@ def beta_form(x):
     if not isinstance(x, ExactScalar):
         raise TypeError("beta_form needs a symbolic scalar")
     out = {}
-    for (m, te), c in x.terms.items():
+    for k, c in x.terms.items():
+        m, te = unpack_monomial(k)
         if te:
             raise ValueError("adjoined root present; not a polynomial "
                              "in the Verblunsky symbols")
@@ -680,7 +822,8 @@ def is_polynomial(x):
     """True when a symbolic scalar has no negative exponents and no t."""
     if not isinstance(x, ExactScalar):
         raise TypeError("is_polynomial needs a symbolic scalar")
-    for (m, te) in x.terms:
+    for k in x.terms:
+        m, te = unpack_monomial(k)
         if te:
             return False
         if any(e < 0 for _, e in m):

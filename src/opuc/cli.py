@@ -7,6 +7,7 @@ Verblunsky coefficient is zero, 3 enumeration cap exceeded.
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -43,6 +44,13 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_ZERO_ALPHA = 2
 EXIT_CAP = 3
+
+# cost guard for `moment` on the generic symbols: a moment's term count
+# grows about threefold per unit of n + max(r, s), and the oracle costs
+# most.  At n + max(r, s) = 10 every route answers within about 6 s on a
+# 2-vCPU machine (the oracle at r = s = 10); one more step takes the
+# oracle to 34 s and 400 MB
+GENERIC_MOMENT_LIMIT = 10
 
 VERIFY_SUITES = ("cross-model", "reciprocity", "determinants", "families",
                  "linearization", "positivity", "all")
@@ -288,6 +296,10 @@ def cmd_moment(args):
     n, r, s = args.n, args.r, args.s
     if min(n, r, s) < 0:
         raise CliError("n, r, s must be nonnegative")
+    if vs.source == "generic" and n + max(r, s) > GENERIC_MOMENT_LIMIT:
+        raise CliError("generic symbolic moments need n + max(r, s) <= %d, "
+                       "got %d; use --family or --alphas for larger indices"
+                       % (GENERIC_MOMENT_LIMIT, n + max(r, s)))
     routes = _routes()
     methods = tuple(routes) if args.method == "all" else (args.method,)
     records, checks, skipped = [], [], []
@@ -709,7 +721,6 @@ def build_parser():
     p.add_argument("--method", choices=tuple(_routes()) + ("closed", "all"),
                    default="lukasiewicz")
     _add_output_flags(p)
-    p.set_defaults(handler=cmd_moment)
 
     p = subs.add_parser("paths", help="list weighted paths")
     _add_sequence_flags(p)
@@ -719,7 +730,6 @@ def build_parser():
     p.add_argument("-s", type=int, default=0)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     _add_output_flags(p)
-    p.set_defaults(handler=cmd_paths)
 
     p = subs.add_parser("family", help="inspect a coefficient family")
     p.add_argument("--name", help="family tag; omit to list all")
@@ -728,7 +738,6 @@ def build_parser():
     p.add_argument("--count", type=int, default=8,
                    help="how many coefficients to print")
     _add_output_flags(p)
-    p.set_defaults(handler=cmd_family)
 
     p = subs.add_parser("verify", help="run cross-validation suites")
     p.add_argument("--suite", choices=VERIFY_SUITES, default="all")
@@ -737,8 +746,13 @@ def build_parser():
     p.add_argument("--mode", choices=(SYMBOLIC, NUMERIC))
     p.add_argument("--seed", type=int, default=0)
     _add_output_flags(p, formats=("json", "text"), default="json")
-    p.set_defaults(handler=cmd_verify)
     return parser
+
+
+# building the parser costs about ten times parsing one command line, so
+# one process builds it once; it holds no handler, and main looks the
+# subcommand up at call time, so rebinding a cmd_* function reaches it
+_parser = functools.cache(build_parser)
 
 
 def _join_alphas(argv):
@@ -755,11 +769,12 @@ def _join_alphas(argv):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(_join_alphas(
+    args = _parser().parse_args(_join_alphas(
         sys.argv[1:] if argv is None else argv))
+    handler = {"moment": cmd_moment, "paths": cmd_paths,
+               "family": cmd_family, "verify": cmd_verify}[args.cmd]
     try:
-        return args.handler(args)
+        return handler(args)
     except CliError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_FAIL

@@ -1,15 +1,22 @@
 """Exact scalar ring, Laurent polynomials, and the mode-agnostic helpers."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from opuc.algebra import (ExactScalar, GaussianRational, LaurentPoly, NUMERIC,
-                          SYMBOLIC, Symbol, alpha, alpha_bar,
-                          bar_inverse_substitute, beta_form, conjugate,
-                          evaluate_numeric, exact_div, gauss, is_polynomial,
-                          render_beta_monomial, render_scalar, sym, t_root,
+from opuc import algebra
+from opuc.algebra import (EXPONENT_LIMIT, ExactScalar, GaussianRational,
+                          LaurentPoly, NUMERIC, SYMBOLIC, Symbol, alpha,
+                          alpha_bar, bar_inverse_substitute, beta_form,
+                          conjugate, evaluate_numeric, exact_div, gauss,
+                          is_polynomial, pack_monomial, render_beta_monomial,
+                          render_scalar, sym, t_root, unpack_monomial,
                           values_close)
 from opuc.errors import ExactDivisionError
 
@@ -91,6 +98,7 @@ def test_multi_term_exact_division():
     rho1 = 1 - alpha(1) * alpha_bar(1)
     assert (rho0 * rho1) / rho0 == rho1
     assert exact_div(rho0 * rho1 * alpha(2), rho1) == rho0 * alpha(2)
+    assert ExactScalar() / rho1 == 0
     with pytest.raises(ExactDivisionError):
         (rho0 + alpha(2)) / rho1
 
@@ -160,6 +168,161 @@ def test_render_scalar_both_modes():
     assert render_scalar(alpha(0) - 1) == "-1 + a0"
     assert render_scalar(0.25 + 0j) == "0.25"
     assert render_scalar(1 + 2j) == "(1+2j)"
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+
+
+_monomials = st.dictionaries(
+    st.builds(Symbol, st.integers(0, 1000), st.booleans()),
+    st.integers(-EXPONENT_LIMIT, EXPONENT_LIMIT).filter(bool),
+    max_size=6).map(lambda d: tuple(sorted(d.items())))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_monomials, st.integers(-3, 3))
+@example(((Symbol(0, True), -2), (Symbol(500, False), 7),
+          (Symbol(731, True), -EXPONENT_LIMIT)), 1)
+def test_packed_monomials_round_trip(m, te):
+    assert unpack_monomial(pack_monomial(m, te)) == (m, te)
+
+
+def test_packed_keys_add_exponents_across_fields():
+    m1 = ((Symbol(0, False), 3), (Symbol(500, True), -4))
+    m2 = ((Symbol(0, False), -3), (Symbol(2, True), 1),
+          (Symbol(500, True), -1))
+    key = pack_monomial(m1) + pack_monomial(m2)
+    assert unpack_monomial(key) == (((Symbol(2, True), 1),
+                                     (Symbol(500, True), -5)), 0)
+    x = alpha(500) ** 3 * alpha_bar(0) ** -2
+    assert str(x) == "ab0^-2*a500^3"
+    assert x.symbol_indices() == [0, 500]
+    with pytest.raises(OverflowError):
+        pack_monomial(((Symbol(1, False), EXPONENT_LIMIT + 1),))
+
+
+def test_exponent_overflow_raises_instead_of_wrapping():
+    assert str(alpha(0) ** EXPONENT_LIMIT) == "a0^%d" % EXPONENT_LIMIT
+    for make in (lambda: alpha(0) ** 40000,
+                 lambda: alpha_bar(3) ** -40000,
+                 lambda: (alpha(1) ** 20000 + 1) * alpha(1) ** 20000,
+                 lambda: (alpha(0) ** 20000 + alpha(1)) / alpha(0) ** -20000):
+        with pytest.raises(OverflowError):
+            make()
+    # the adjoined root reduces as it goes, so its powers never overflow
+    assert t_root(2) ** 40001 == 2 ** 20000 * t_root(2)
+
+
+def test_adjoined_root_reduction_in_packed_keys():
+    t = t_root(Fraction(1, 3))
+    assert t ** 5 == t * Fraction(1, 9)
+    assert t.inverse() == 3 * t and t ** -3 == 9 * t
+    assert (t * alpha(0)) ** 2 == alpha(0) ** 2 / 3
+    assert (1 + t) * (1 - t) == Fraction(2, 3)
+    assert ExactScalar({pack_monomial((), 3): 1}, Fraction(1, 3)) == t / 3
+    assert str(t ** 3 - alpha_bar(1) * t) == "1/3*t - ab1*t"
+    with pytest.raises(ExactDivisionError):
+        (t + alpha(0)) / (t + alpha(1))
+
+
+def test_conjugate_twice_is_the_identity():
+    t = t_root(Fraction(1, 5))
+    x = (gauss(Fraction(1, 2), -3) * alpha(0) ** -2 * alpha_bar(600)
+         + t * alpha_bar(1) ** 3 - gauss(0, 1) * t)
+    assert conjugate(x) != x
+    assert conjugate(conjugate(x)) == x
+    assert str(conjugate(alpha(4) ** -1 * alpha_bar(2))) == "a2*ab4^-1"
+
+
+def test_equal_scalars_built_in_different_orders_hash_alike():
+    x = (alpha(0) + alpha_bar(1) * alpha(2)) - 3 + gauss(0, 1) * alpha(7)
+    y = gauss(0, 1) * alpha(7) + (alpha(2) * alpha_bar(1) - 3) + alpha(0)
+    assert list(x.terms) != list(y.terms)
+    assert x == y and hash(x) == hash(y)
+    assert len({x, y, x - alpha(0) + alpha(0)}) == 1
+
+
+def _reference_str(x):
+    """The text form as defined on the ((Symbol, exp), ...) monomials."""
+    if not x.terms:
+        return "0"
+    parts = []
+    for (m, te), k in sorted((unpack_monomial(k), k) for k in x.terms):
+        factors = [str(s) if e == 1 else "%s^%d" % (s, e) for s, e in m]
+        if te:
+            factors.append("t" if te == 1 else "t^%d" % te)
+        body, cs = "*".join(factors), str(x.terms[k])
+        if not body:
+            parts.append(cs)
+        elif cs in ("1", "-1"):
+            parts.append(cs[:-1] + body)
+        else:
+            parts.append(cs + "*" + body)
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+_coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(max_denominator=5).filter(lambda q: abs(q) < 4),
+    st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2)))
+
+
+@st.composite
+def _wide_scalars(draw):
+    t = t_root(Fraction(2, 7)) if draw(st.booleans()) else 1
+    out = ExactScalar()
+    for _ in range(draw(st.integers(0, 6))):
+        term = gauss(1) * draw(_coefficients)
+        for _ in range(draw(st.integers(0, 4))):
+            term = term * sym(draw(st.integers(0, 40)), draw(st.booleans())) \
+                ** draw(st.integers(-3, 3))
+        out = out + term * t ** draw(st.integers(0, 1))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(_wide_scalars())
+def test_rendering_matches_the_monomial_reference(x):
+    assert str(x) == _reference_str(x)
+
+
+def test_rendering_survives_a_full_chunk_memo():
+    x = ExactScalar({pack_monomial(((Symbol(j % 9, j % 2 == 1), e),)): e
+                     for j in range(9) for e in range(1, 700)})
+    y = alpha(0) * alpha_bar(8) ** 2 - 1
+    for _ in range(2):  # the first render fills the memo past its bound
+        assert str(x) == _reference_str(x)
+        assert sum(map(len, algebra._CHUNKS)) > algebra._CHUNKS_KEPT
+        assert str(y) == _reference_str(y) == "-1 + a0*ab8^2"
+        # emptied, then refilled by the two terms of y alone
+        assert sum(map(len, algebra._CHUNKS)) <= 2 * len(algebra._CHUNKS)
+
+
+def test_tracer_counts_each_term_product():
+    # perfbench/spans.py wraps the ring's methods from outside; run it in a
+    # fresh interpreter so its wrappers stay out of this test session
+    root = Path(__file__).resolve().parents[1]
+    code = textwrap.dedent("""
+        import sys
+        sys.path.insert(0, %r)
+        import spans
+        from opuc.algebra import alpha, alpha_bar
+        tracer = spans.Tracer()
+        spans.install(tracer)
+        x, y = alpha(0) + alpha(1), 1 + alpha_bar(0) + alpha(2) * alpha(0)
+        tracer.begin()
+        product = x * y
+        print(tracer.end()[2]["algebra.mul"][::2], len(product.terms))
+    """ % str(root / "perfbench"))
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[1, 6] 6\n"
 
 
 # ---------------------------------------------------------------------------

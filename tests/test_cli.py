@@ -2,8 +2,12 @@
 bundled verification suites."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +131,31 @@ def test_a_wrong_route_fails_both_cross_checks(capsys, monkeypatch):
     assert code == 1
     assert "mu(1,0,0) gmotzkin     = 7 " in out
     assert out.endswith("agreement: FAIL\n")
+
+
+def test_generic_moment_cost_guard(capsys):
+    limit = cli.GENERIC_MOMENT_LIMIT
+    for n, r, s in ((limit + 1, 0, 0), (0, limit, limit + 1), (3, limit, 0)):
+        for method in ("lukasiewicz", "oracle", "all"):
+            code, out, err = _run(capsys, "moment", "-n", str(n), "-r", str(r),
+                                  "-s", str(s), "--method", method)
+            assert code == 1 and out == ""
+            assert err == ("error: generic symbolic moments need "
+                           "n + max(r, s) <= %d, got %d; use --family or "
+                           "--alphas for larger indices\n"
+                           % (limit, n + max(r, s)))
+    # the limit itself is admitted, and the guard ignores --family and
+    # --alphas, whose values stay small
+    code, out, err = _run(capsys, "moment", "-n", "0", "-r", str(limit))
+    assert code == 0 and out.startswith("mu(0,%d,0) lukasiewicz  = 0 " % limit)
+    code, out, err = _run(capsys, "moment", "--family", "rogers_szego",
+                          "--param", "q=1/3", "-n", str(limit + 4), "-r", "2",
+                          "--method", "all")
+    assert code == 0 and out.endswith("agreement: PASS\n")
+    table = ",".join(["1/4"] * (limit + 3))
+    code, out, err = _run(capsys, "moment", "--alphas", table,
+                          "-n", str(limit + 2), "--method", "lukasiewicz")
+    assert code == 0 and err == ""
 
 
 def test_moment_closed_method(capsys):
@@ -393,3 +422,39 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["nonsense"])
     assert info.value.code == 1
+
+
+def _comparable(argv, code, out, err):
+    if "json" in argv and code == 0:
+        doc = json.loads(out)
+        for rec in doc["results"]:
+            rec.pop("elapsed_ms", None)
+        out = doc
+    return code, out, err
+
+
+def test_repeated_main_calls_print_what_fresh_processes_print(capsys):
+    # the parser is built once per process; a usage error in between must
+    # leave nothing behind for the calls after it
+    argvs = (["moment", "-n", "2", "-r", "1", "--method", "all",
+              "--format", "json"],
+             ["moment", "--method", "bogus"],
+             ["paths", "--model", "gmotzkin", "-n", "2", "-r", "1"],
+             ["moment", "--method", "closed"],
+             ["family", "--name", "rogers_szego", "--param", "q=1/3",
+              "--count", "3"],
+             ["moment", "-n", "2", "-r", "1", "--method", "all",
+              "--format", "json"])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in argvs:
+        fresh = subprocess.run([sys.executable, "-m", "opuc.cli", *argv],
+                               env=env, capture_output=True, text=True)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (_comparable(argv, code, captured.out, captured.err)
+                == _comparable(argv, fresh.returncode, fresh.stdout,
+                               fresh.stderr)), argv

@@ -37,7 +37,13 @@ GRID = (
         "--method", "all", "--format", "json"),
        # alpha_0 = 0 here, so the Schröder route is skipped
        ("moment", "--family", "al-salam-carlitz", "--param", "q=1/2",
-        "-n", "2", "--method", "all", "--format", "json")]
+        "-n", "2", "--method", "all", "--format", "json"),
+       # the adjoined root t (t^2 = q) in the closed forms and in a moment
+       ("family", "--name", "rogers_szego", "--param", "q=1/3",
+        "--count", "6"),
+       ("moment", "--family", "rogers_szego", "--param", "q=1/3",
+        "-n", "2", "-r", "1", "-s", "0", "--method", "all",
+        "--format", "json")]
     + [("paths", "--model", model, "-n", n, "-r", r, "-s", s)
        for model, n, r, s in (("lukasiewicz", "3", "1", "1"),
                               ("gmotzkin", "2", "1", "0"),
