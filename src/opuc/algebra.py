@@ -12,12 +12,12 @@ Two scalar representations flow through this library:
 * numeric mode: the builtin ``complex``, used directly so the dynamic
   programs run at native speed.
 
-Module helpers (conjugate, exact_div, evaluate_numeric, render_scalar)
-accept both representations, which keeps the rest of the library
-mode-agnostic.  A scalar of either kind is false exactly when it is
-zero, so a plain truth test is the zero test in both modes.  Integers
-and Fractions coerce into either mode; floats and complexes are
-rejected by the symbolic side to preserve exactness.
+Module helpers (conjugate, evaluate_numeric, render_scalar) accept both
+representations, which keeps the rest of the library mode-agnostic, and
+plain ``/`` divides exactly in symbolic mode.  A scalar of either kind
+is false exactly when it is zero, so a plain truth test is the zero test
+in both modes.  Integers and Fractions coerce into either mode; floats
+and complexes are rejected by the symbolic side to preserve exactness.
 
 Convention: symbol index -1 encodes the boundary value alpha_{-1} = -1.
 Constructors eliminate it immediately, so stored symbols always have
@@ -718,14 +718,6 @@ def conjugate(x):
     raise TypeError("cannot conjugate %r" % type(x))
 
 
-def exact_div(a, b):
-    """Division appropriate to the representation: exact or complex."""
-    if isinstance(a, ExactScalar) or isinstance(b, ExactScalar):
-        a = a if isinstance(a, ExactScalar) else ExactScalar._coerce(a)
-        return a / b
-    return a / b
-
-
 def zero_of(mode):
     return SYM_ZERO if mode == SYMBOLIC else 0j
 
@@ -746,7 +738,7 @@ def as_mode_scalar(x, mode):
         c = x.constant_value()
         if c is None:
             raise TypeError("non-constant symbolic scalar in numeric mode")
-        return complex(c) if isinstance(c, GaussianRational) else complex(c)
+        return complex(c)
     return complex(x)
 
 

@@ -17,8 +17,7 @@ import time
 from fractions import Fraction
 
 from .algebra import (GaussianRational, NUMERIC, SYMBOLIC, beta_form,
-                      conjugate, exact_div, is_polynomial, render_scalar,
-                      values_close)
+                      conjugate, is_polynomial, render_scalar, values_close)
 from .core import VerblunskySequence, moment_oracle, phi
 from .errors import (EnumerationCapExceeded, PositivityViolation,
                      UnsupportedFamily, ZeroVerblunsky)
@@ -151,36 +150,25 @@ def random_alpha_table(rng, length, radius=0.9):
     return out
 
 
-def _resolve_mode(args, spec, literals):
-    """Explicit --mode wins; otherwise exact inputs pick symbolic."""
-    if getattr(args, "mode", None):
-        return args.mode
-    if spec is not None:
-        return family_mode(spec)
-    if any(parse_complex_literal(t)[2] for t in literals):
-        return NUMERIC
-    return SYMBOLIC
+def _family_spec(name, param, mode):
+    """FamilySpec of a family name and its KEY=VALUE parameter.
 
-
-def _family_spec(args, mode_hint=None):
-    """FamilySpec from --family/--param, or None when absent."""
-    name = getattr(args, "family", None)
-    if name is None:
-        return None
+    The value is read in `mode`, or, when that is None, exactly unless
+    it is written with a decimal point.
+    """
     tag = name.replace("-", "_")
     if tag not in FAMILY_PARAMS:
         raise CliError("unknown family %r; known: %s"
                        % (name, ", ".join(sorted(FAMILY_PARAMS))))
-    raw = getattr(args, "param", None)
-    if raw is None:
+    if param is None:
         raise CliError("--family needs --param %s=VALUE"
                        % FAMILY_PARAMS[tag])
-    key, _, valtext = raw.partition("=")
+    key, _, valtext = param.partition("=")
     if key != FAMILY_PARAMS[tag]:
         raise CliError("family %s takes parameter %r, got %r"
                        % (tag, FAMILY_PARAMS[tag], key))
     dec = parse_complex_literal(valtext)[2]
-    mode = mode_hint or (NUMERIC if dec else SYMBOLIC)
+    mode = mode or (NUMERIC if dec else SYMBOLIC)
     try:
         return FamilySpec(tag, literal_value(valtext, mode))
     except ValueError as exc:
@@ -188,18 +176,26 @@ def _family_spec(args, mode_hint=None):
 
 
 def _build_sequence(args):
-    """(vs, spec, mode) from --family/--param or --alphas flags."""
-    spec = _family_spec(args, mode_hint=getattr(args, "mode", None))
+    """(vs, spec, mode) from --family/--param or --alphas flags.
+
+    An explicit --mode wins; otherwise exact inputs pick symbolic.
+    """
+    spec = None
+    if args.family is not None:
+        spec = _family_spec(args.family, args.param, args.mode)
     literals = []
-    if getattr(args, "alphas", None):
+    if args.alphas:
         if spec is not None:
             raise CliError("--family and --alphas are mutually exclusive")
         literals = [t for t in args.alphas.split(",") if t.strip()]
         if not literals:
             raise CliError("--alphas is empty")
-    mode = _resolve_mode(args, spec, literals)
     if spec is not None:
+        mode = args.mode or family_mode(spec)
         return verblunsky_of(spec, mode), spec, mode
+    mode = args.mode or (
+        NUMERIC if any(parse_complex_literal(t)[2] for t in literals)
+        else SYMBOLIC)
     if literals:
         table = [literal_value(t, mode) for t in literals]
         try:
@@ -227,40 +223,40 @@ def _render(value):
     return render_scalar(value)
 
 
-def _emit(text_out, args):
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+# the CSV columns of `moment` and `paths`
+_VALUE_HEADER = ("n", "r", "s", "method", "value", "elapsed_ms")
+
+
+def _write(args, mode, results, checks, lines, table=(), extra=()):
+    """Write one command's report in the format --format names.
+
+    JSON holds the schema version, the flags given (with `mode` and the
+    pairs of `extra`), `results` and `checks`; CSV holds the rows of
+    `table`, header first; text is `lines`.  The report goes to --out
+    when given, else to standard output.
+    """
+    if args.format == "json":
+        echo = {"subcommand": args.cmd, "mode": mode}
+        for key in ("family", "param", "alphas", "n", "r", "s", "method",
+                    "model", "suite", "max", "seed", "cap", "format"):
+            val = getattr(args, key, None)
+            if val is not None:
+                echo[key] = val
+        echo.update(extra)
+        doc = {"schema_version": SCHEMA_VERSION, "config_echo": echo,
+               "results": results, "checks": checks}
+        text_out = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows(table)
+        text_out = buf.getvalue()
+    else:
+        text_out = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text_out)
     else:
         sys.stdout.write(text_out)
-
-
-def _report_json(config_echo, results, checks):
-    doc = {"schema_version": SCHEMA_VERSION, "config_echo": config_echo,
-           "results": results, "checks": checks}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _records_csv(records):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(("n", "r", "s", "method", "value", "elapsed_ms"))
-    for rec in records:
-        writer.writerow((rec["n"], rec["r"], rec["s"], rec["method"],
-                         rec["value"], "%.3f" % rec["elapsed_ms"]))
-    return buf.getvalue()
-
-
-def _config_echo(args, mode, extra=()):
-    echo = {"subcommand": args.cmd, "mode": mode}
-    for key in ("family", "param", "alphas", "n", "r", "s", "method",
-                "model", "suite", "max", "seed", "cap", "format"):
-        val = getattr(args, key, None)
-        if val is not None:
-            echo[key] = val
-    echo.update(dict(extra))
-    return echo
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +298,7 @@ def cmd_moment(args):
                        % (GENERIC_MOMENT_LIMIT, n + max(r, s)))
     routes = _routes()
     methods = tuple(routes) if args.method == "all" else (args.method,)
-    records, checks, skipped = [], [], []
+    values, records, checks, skipped = [], [], [], []
     for method in methods:
         start = time.perf_counter()
         try:
@@ -316,37 +312,27 @@ def cmd_moment(args):
                 continue
             raise
         elapsed = (time.perf_counter() - start) * 1000.0
+        values.append(value)
         records.append({"n": n, "r": r, "s": s, "method": method,
                         "value": _render(value), "elapsed_ms": elapsed,
-                        "mode": mode, "_raw": value})
-    exit_code = EXIT_OK
+                        "mode": mode})
+    agree = True
     if args.method == "all":
-        base = records[0]["_raw"]
-        agree = all(values_close(rec["_raw"], base) for rec in records)
-        detail = "; ".join("%s skipped: zero alpha_%d" % pair
-                           for pair in skipped)
-        checks.append({"suite": "moment", "name": "agreement",
-                       "status": "pass" if agree else "fail",
-                       "detail": detail})
-        if not agree:
-            exit_code = EXIT_FAIL
-    for rec in records:
-        del rec["_raw"]
-    if args.format == "json":
-        text_out = _report_json(_config_echo(args, mode), records, checks)
-    elif args.format == "csv":
-        text_out = _records_csv(records)
-    else:
-        lines = ["mu(%d,%d,%d) %-12s = %s  [%.3f ms]"
-                 % (rec["n"], rec["r"], rec["s"], rec["method"],
-                    rec["value"], rec["elapsed_ms"]) for rec in records]
-        for method, idx in skipped:
-            lines.append("%-12s skipped: zero alpha_%d" % (method, idx))
-        for chk in checks:
-            lines.append("agreement: %s" % chk["status"].upper())
-        text_out = "\n".join(lines) + "\n"
-    _emit(text_out, args)
-    return exit_code
+        base = values[0]
+        agree = all(values_close(value, base) for value in values)
+        _check(checks, "moment", "agreement", agree,
+               "; ".join("%s skipped: zero alpha_%d" % pair
+                         for pair in skipped))
+    lines = ["mu(%d,%d,%d) %-12s = %s  [%.3f ms]"
+             % (n, r, s, rec["method"], rec["value"], rec["elapsed_ms"])
+             for rec in records]
+    lines += ["%-12s skipped: zero alpha_%d" % pair for pair in skipped]
+    lines += ["agreement: %s" % chk["status"].upper() for chk in checks]
+    table = [_VALUE_HEADER] + [
+        (n, r, s, rec["method"], rec["value"], "%.3f" % rec["elapsed_ms"])
+        for rec in records]
+    _write(args, mode, records, checks, lines, table)
+    return EXIT_OK if agree else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -368,27 +354,18 @@ def cmd_paths(args):
         rows.append({"kind": "path", "index": idx, "steps": path.render(),
                      "weight": _render(w)})
     elapsed = (time.perf_counter() - start) * 1000.0
+    total_weight = _render(total)
+    lines = ["%3d  %-24s %s" % (row["index"], row["steps"], row["weight"])
+             for row in rows]
+    lines.append("total over %d paths = %s" % (len(listing), total_weight))
+    table = [_VALUE_HEADER] + [
+        (n, r, s, "%s[%d]" % (args.model, row["index"]), row["weight"],
+         "0.000") for row in rows]
+    table.append((n, r, s, "%s_total" % args.model, total_weight,
+                  "%.3f" % elapsed))
     rows.append({"kind": "total", "count": len(listing),
-                 "weight": _render(total), "elapsed_ms": elapsed})
-    if args.format == "json":
-        text_out = _report_json(_config_echo(args, mode), rows, [])
-    elif args.format == "csv":
-        records = [{"n": n, "r": r, "s": s,
-                    "method": "%s[%d]" % (args.model, row["index"]),
-                    "value": row["weight"], "elapsed_ms": 0.0}
-                   for row in rows if row["kind"] == "path"]
-        records.append({"n": n, "r": r, "s": s,
-                        "method": "%s_total" % args.model,
-                        "value": _render(total), "elapsed_ms": elapsed})
-        text_out = _records_csv(records)
-    else:
-        lines = ["%3d  %-24s %s" % (row["index"], row["steps"],
-                                    row["weight"])
-                 for row in rows if row["kind"] == "path"]
-        lines.append("total over %d paths = %s" % (len(listing),
-                                                   _render(total)))
-        text_out = "\n".join(lines) + "\n"
-    _emit(text_out, args)
+                 "weight": total_weight, "elapsed_ms": elapsed})
+    _write(args, mode, rows, [], lines, table)
     return EXIT_OK
 
 
@@ -398,18 +375,20 @@ def cmd_paths(args):
 
 def cmd_family(args):
     if args.name is None:
-        lines = ["%-18s parameter: %s" % (tag, FAMILY_PARAMS[tag])
-                 for tag in sorted(FAMILY_PARAMS)]
-        _emit("\n".join(lines) + "\n", args)
+        tags = sorted(FAMILY_PARAMS)
+        _write(args, args.mode,
+               [{"family": tag, "parameter": FAMILY_PARAMS[tag]}
+                for tag in tags], [],
+               ["%-18s parameter: %s" % (tag, FAMILY_PARAMS[tag])
+                for tag in tags],
+               [("family", "parameter")]
+               + [(tag, FAMILY_PARAMS[tag]) for tag in tags])
         return EXIT_OK
-    ns = argparse.Namespace(family=args.name, param=args.param,
-                            mode=getattr(args, "mode", None))
-    spec = _family_spec(ns, mode_hint=getattr(args, "mode", None))
-    mode = getattr(args, "mode", None) or family_mode(spec)
+    spec = _family_spec(args.name, args.param, args.mode)
+    mode = args.mode or family_mode(spec)
     vs = verblunsky_of(spec, mode)
-    results = []
-    for j in range(args.count):
-        results.append({"j": j, "alpha": _render(vs.alpha(j))})
+    results = [{"j": j, "alpha": _render(vs.alpha(j))}
+               for j in range(args.count)]
     try:
         closed_moment_nm(spec, 1, 0, mode)
         has_closed = True
@@ -418,24 +397,13 @@ def cmd_family(args):
     info = {"family": spec.tag, "parameter": FAMILY_PARAMS[spec.tag],
             "value": _render(spec.value), "mode": mode,
             "closed_forms": "yes" if has_closed else "no"}
-    if args.format == "json":
-        text_out = _report_json(_config_echo(args, mode, extra=info.items()),
-                                results, [])
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(("j", "alpha"))
-        for row in results:
-            writer.writerow((row["j"], row["alpha"]))
-        text_out = buf.getvalue()
-    else:
-        lines = ["%s(%s = %s)  mode=%s  closed forms: %s"
-                 % (spec.tag, info["parameter"], info["value"], mode,
-                    info["closed_forms"])]
-        lines += ["  alpha_%d = %s" % (row["j"], row["alpha"])
-                  for row in results]
-        text_out = "\n".join(lines) + "\n"
-    _emit(text_out, args)
+    lines = ["%s(%s = %s)  mode=%s  closed forms: %s"
+             % (spec.tag, info["parameter"], info["value"], mode,
+                info["closed_forms"])]
+    lines += ["  alpha_%d = %s" % (row["j"], row["alpha"])
+              for row in results]
+    table = [("j", "alpha")] + [(row["j"], row["alpha"]) for row in results]
+    _write(args, mode, results, [], lines, table, info)
     return EXIT_OK
 
 
@@ -447,6 +415,12 @@ def _check(checks, suite, name, ok, detail=""):
     checks.append({"suite": suite, "name": name,
                    "status": "pass" if ok else "fail", "detail": detail})
     return ok
+
+
+def _misses(cells, got, want):
+    """The cells, in order, at which got(*cell) and want(*cell) differ."""
+    return [cell for cell in cells
+            if not values_close(got(*cell), want(*cell))]
 
 
 def _sequences(mode, seed, count, length):
@@ -486,12 +460,11 @@ def _suite_reciprocity(checks, maxn, mode, seed):
     orientation = ("negative(n,r,s) * rho_product(0,s) / rho_product(0,r)"
                    " == conj(moment(n,s,r))")
     [(_, vs)] = _sequences(mode, seed, 1, 2 * maxn + 2)
-    bad = []
-    for n, r, s in itertools.product(range(maxn + 1), repeat=3):
-        lhs = exact_div(moment_negative(vs, n, r, s) * vs.rho_product(0, s),
-                        vs.rho_product(0, r))
-        if not values_close(lhs, conjugate(moment_lukasiewicz(vs, n, s, r))):
-            bad.append((n, r, s))
+    bad = _misses(
+        itertools.product(range(maxn + 1), repeat=3),
+        lambda n, r, s: (moment_negative(vs, n, r, s) * vs.rho_product(0, s)
+                         / vs.rho_product(0, r)),
+        lambda n, r, s: conjugate(moment_lukasiewicz(vs, n, s, r)))
     _check(checks, "reciprocity", "rho-ratio conjugation", not bad,
            orientation if not bad else "mismatches: %s" % bad[:4])
 
@@ -502,12 +475,10 @@ def _suite_determinants(checks, maxn, mode, seed):
            if not values_close(toeplitz_det(vs, n), rho_power_product(vs, n))]
     _check(checks, "determinants", "toeplitz vs rho powers", not bad,
            "orders 0..%d" % maxn if not bad else "failed orders: %s" % bad)
-    bad = []
-    for m in range(-2, 3):
-        for n in range(min(maxn, 3) + 1):
-            lhs, rhs, equal = det_identity_check(vs, m, n)
-            if not equal:
-                bad.append((m, n))
+    # det_identity_check compares its two sides itself
+    bad = _misses(itertools.product(range(-2, 3), range(min(maxn, 3) + 1)),
+                  lambda m, n: det_identity_check(vs, m, n)[2],
+                  lambda m, n: True)
     _check(checks, "determinants", "shifted-index factorization", not bad,
            "m in [-2,2], n <= %d" % min(maxn, 3) if not bad
            else "failed (m, n): %s" % bad)
@@ -529,35 +500,23 @@ def _suite_families(checks, maxn, mode, seed):
     for spec in _family_grid_specs():
         fmode = family_mode(spec)
         vs = verblunsky_of(spec, fmode)
-        bad = []
-        for n in range(maxn + 1):
-            for m in range(maxn + 1):
-                if not values_close(closed_moment_nm(spec, n, m, fmode),
-                                    moment_lukasiewicz(vs, n, 0, m)):
-                    bad.append((n, m))
+        bad = _misses(itertools.product(range(maxn + 1), repeat=2),
+                      lambda n, m: closed_moment_nm(spec, n, m, fmode),
+                      lambda n, m: moment_lukasiewicz(vs, n, 0, m))
         _check(checks, "families", "nm[%r]" % (spec,), not bad,
                "" if not bad else "failed (n, m): %s" % bad[:4])
-        bad = []
-        top = min(maxn, 4)
-        for n in range(top + 1):
-            for r in range(top + 1):
-                for s in range(top + 1):
-                    if not values_close(
-                            closed_moment_nrs(spec, n, r, s, fmode),
-                            moment_lukasiewicz(vs, n, r, s)):
-                        bad.append((n, r, s))
+        bad = _misses(itertools.product(range(min(maxn, 4) + 1), repeat=3),
+                      lambda n, r, s: closed_moment_nrs(spec, n, r, s, fmode),
+                      lambda n, r, s: moment_lukasiewicz(vs, n, r, s))
         _check(checks, "families", "nrs[%r]" % (spec,), not bad,
                "" if not bad else "failed (n, r, s): %s" % bad[:4])
     for value in (Fraction(1, 2), 1, complex(0.3, 0.4)):
         spec = FamilySpec("geronimus", value)
         fmode = family_mode(spec)
         vs = verblunsky_of(spec, fmode)
-        bad = []
-        for n in range(maxn + 1):
-            for m in range(maxn + 1):
-                if not values_close(geronimus_gf_moment(value, n, m),
-                                    moment_lukasiewicz(vs, n, 0, m)):
-                    bad.append((n, m))
+        bad = _misses(itertools.product(range(maxn + 1), repeat=2),
+                      lambda n, m: geronimus_gf_moment(value, n, m),
+                      lambda n, m: moment_lukasiewicz(vs, n, 0, m))
         _check(checks, "families", "gf[%r]" % (spec,), not bad,
                "" if not bad else "failed (n, m): %s" % bad[:4])
 
@@ -595,28 +554,22 @@ def _suite_linearization(checks, maxn, mode, seed):
     iden = ScalarMatrix.identity(dim, vs.one(), vs.zero())
     _check(checks, "linearization", "star overlap inverse",
            prod == iden, "dimension %d" % dim)
-    bad = []
-    for n in range(1, 3):
-        for r in range(3):
-            for s in range(n + r + 1):
-                if (star_to_phi_coeff(vs, n, r, s)
-                        != star_to_phi_coeff_paths(vs, n, r, s)):
-                    bad.append(("star_to_phi", n, r, s))
-                if (phi_to_star_coeff(vs, n, r, s)
-                        != phi_to_star_coeff_paths(vs, n, r, s)):
-                    bad.append(("phi_to_star", n, r, s))
-                if (star_to_star_coeff(vs, n, r, s)
-                        != star_to_star_coeff_paths(vs, n, r, s)):
-                    bad.append(("star_to_star", n, r, s))
+    # name -> (closed form, path route), each (vs, n, r, s) -> coefficient
+    companions = {
+        "star_to_phi": (star_to_phi_coeff, star_to_phi_coeff_paths),
+        "phi_to_star": (phi_to_star_coeff, phi_to_star_coeff_paths),
+        "star_to_star": (star_to_star_coeff, star_to_star_coeff_paths),
+    }
+    bad = _misses([(name, n, r, s)
+                   for n, r in itertools.product(range(1, 3), range(3))
+                   for s in range(n + r + 1) for name in companions],
+                  lambda name, *nrs: companions[name][0](vs, *nrs),
+                  lambda name, *nrs: companions[name][1](vs, *nrs))
     _check(checks, "linearization", "path companions", not bad,
            "" if not bad else "failed: %s" % bad[:4])
-    bad = []
-    for n in range(1, 3):
-        for r in range(3):
-            for s in range(3):
-                if (star_to_phi_coeff_negative(vs, n, r, s)
-                        != star_pairing_oracle(vs, -n, r, s)):
-                    bad.append((n, r, s))
+    bad = _misses(itertools.product(range(1, 3), range(3), range(3)),
+                  lambda n, r, s: star_to_phi_coeff_negative(vs, n, r, s),
+                  lambda n, r, s: star_pairing_oracle(vs, -n, r, s))
     _check(checks, "linearization", "negative-index pairing", not bad,
            "" if not bad else "failed: %s" % bad[:4])
 
@@ -674,16 +627,12 @@ def cmd_verify(args):
         fn(checks, args.max if args.max is not None else default_max,
            mode, args.seed)
     ok = all(chk["status"] == "pass" for chk in checks)
-    if args.format == "text":
-        lines = ["%-4s %-14s %-36s %s"
-                 % (chk["status"].upper(), chk["suite"], chk["name"],
-                    chk["detail"]) for chk in checks]
-        lines.append("verify: %d checks, %s"
-                     % (len(checks), "all passed" if ok else "FAILURES"))
-        text_out = "\n".join(lines) + "\n"
-    else:
-        text_out = _report_json(_config_echo(args, mode), [], checks)
-    _emit(text_out, args)
+    lines = ["%-4s %-14s %-36s %s"
+             % (chk["status"].upper(), chk["suite"], chk["name"],
+                chk["detail"]) for chk in checks]
+    lines.append("verify: %d checks, %s"
+                 % (len(checks), "all passed" if ok else "FAILURES"))
+    _write(args, mode, [], checks, lines)
     return EXIT_OK if ok else EXIT_FAIL
 
 

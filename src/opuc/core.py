@@ -10,8 +10,7 @@ solving two unit-lower-triangular systems, and the sesquilinear form is
 
 from .algebra import (SYMBOLIC, NUMERIC, ExactScalar, LaurentPoly,
                       alpha as sym_alpha, as_mode_scalar,
-                      bar_inverse_substitute, conjugate, exact_div, one_of,
-                      zero_of)
+                      bar_inverse_substitute, conjugate, one_of, zero_of)
 
 
 class VerblunskySequence:
@@ -224,10 +223,6 @@ def moment_oracle(vs, n, r, s):
     """
     if r < 0 or s < 0:
         raise ValueError("r and s must be >= 0")
-    key = ("oracle", n, r, s)
-    hit = vs.cache.get(key)
-    if hit is not None:
-        return hit
     norm = kappa(vs, s)
     if not norm:
         zeros = [j for j in range(s) if not vs.rho(j)]
@@ -236,7 +231,5 @@ def moment_oracle(vs, n, r, s):
             % (s, s, "rho_%d = 0" % zeros[0] if zeros
                else "the product of rho_j underflows"))
     num = inner_product(vs, phi(vs, s).phi, phi(vs, r).phi.shift(n))
-    val = exact_div(num, norm)
-    vs.cache[key] = val
-    return val
+    return num / norm
 

@@ -14,7 +14,7 @@ form has a lattice-path companion (suffix ``_paths``) used to cross-check
 it over a different computation route.
 """
 
-from .algebra import LaurentPoly, exact_div, zero_of
+from .algebra import LaurentPoly, zero_of
 from .core import inner_product, kappa, phi
 from .errors import ZeroVerblunsky
 from .matrices import ScalarMatrix
@@ -107,7 +107,7 @@ def expand_in_phistar_basis(vs, f, bound):
     residual = f
     for s in range(bound, 0, -1):
         top = residual.coeff(s)
-        c = exact_div(top, -vs.alpha(s - 1))
+        c = top / -vs.alpha(s - 1)
         coeffs[s] = c
         if c:
             residual = residual - phi(vs, s).phi_star.scale(c)
@@ -287,4 +287,4 @@ def star_pairing_oracle(vs, n, r, s):
     star_to_phi_coeff_negative (n <= -1) against this.
     """
     num = inner_product(vs, phi(vs, s).phi, phi(vs, r).phi_star.shift(n))
-    return exact_div(num, kappa(vs, s))
+    return num / kappa(vs, s)

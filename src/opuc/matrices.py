@@ -15,7 +15,7 @@ Determinants are taken by fraction-free elimination, which is exact over
 the symbolic coefficient ring and also serves the numeric mode.
 """
 
-from .algebra import exact_div, values_close
+from .algebra import values_close
 from .core import moments_from_phis
 
 
@@ -225,7 +225,7 @@ def determinant(mat, one):
         for i in range(k + 1, d):
             for j in range(k + 1, d):
                 num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = exact_div(num, prev)
+                a[i][j] = num / prev
         prev = a[k][k]
     det = a[d - 1][d - 1]
     return det if sign == 1 else -det

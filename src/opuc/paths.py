@@ -141,7 +141,7 @@ def _gen_gmotzkin(n, r, s):
     yield from walk(-r, r)
 
 
-def _gen_schroder(n, r, s, allow_initial_vertical=False):
+def _gen_schroder(n, r, s):
     # vertical drops are zero-width and never open a path
     steps = []
 
@@ -150,7 +150,7 @@ def _gen_schroder(n, r, s, allow_initial_vertical=False):
             if y == s:
                 yield tuple(steps)
                 return
-            if y < s or (at_start and not allow_initial_vertical):
+            if y < s or at_start:
                 return
             steps.append(VERTICAL)
             yield from walk(x, y - 1, False)
@@ -164,7 +164,7 @@ def _gen_schroder(n, r, s, allow_initial_vertical=False):
         steps.append(LEVEL)
         yield from walk(x + 1, y, False)
         steps.pop()
-        if y > 0 and (allow_initial_vertical or not at_start):
+        if y > 0 and not at_start:
             steps.append(VERTICAL)
             yield from walk(x, y - 1, False)
             steps.pop()
@@ -173,22 +173,10 @@ def _gen_schroder(n, r, s, allow_initial_vertical=False):
 
 
 def _gen_negative(n, r, s):
-    # mirror model: leftward steps (-1, dy) with dy <= 1, from (0, s) to (-n, r)
-    steps = []
-
-    def walk(m, y):
-        if m == n:
-            if y == r:
-                yield tuple(steps)
-            return
-        if r - y > n - m:
-            return
-        for dy in range(1, -y - 1, -1):
-            steps.append((-1, dy))
-            yield from walk(m + 1, y + dy)
-            steps.pop()
-
-    yield from walk(0, s)
+    # mirror model: the lukasiewicz walks from height s to height r, run
+    # leftward, so from (0, s) to (-n, r)
+    for steps in _gen_lukasiewicz(n, s, r):
+        yield tuple((-1, dy) for _, dy in steps)
 
 
 def enumerate_paths(model, n, r, s, cap=DEFAULT_CAP):

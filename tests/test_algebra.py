@@ -14,7 +14,7 @@ from opuc import algebra
 from opuc.algebra import (EXPONENT_LIMIT, ExactScalar, GaussianRational,
                           LaurentPoly, NUMERIC, SYMBOLIC, Symbol, alpha,
                           alpha_bar, bar_inverse_substitute, beta_form,
-                          conjugate, evaluate_numeric, exact_div, gauss,
+                          conjugate, evaluate_numeric, gauss,
                           is_polynomial, pack_monomial, render_beta_monomial,
                           render_scalar, sym, t_root, unpack_monomial,
                           values_close)
@@ -97,7 +97,7 @@ def test_multi_term_exact_division():
     rho0 = 1 - alpha(0) * alpha_bar(0)
     rho1 = 1 - alpha(1) * alpha_bar(1)
     assert (rho0 * rho1) / rho0 == rho1
-    assert exact_div(rho0 * rho1 * alpha(2), rho1) == rho0 * alpha(2)
+    assert rho0 * rho1 * alpha(2) / rho1 == rho0 * alpha(2)
     assert ExactScalar() / rho1 == 0
     with pytest.raises(ExactDivisionError):
         (rho0 + alpha(2)) / rho1

@@ -401,6 +401,52 @@ def test_verify_text_format(capsys):
     assert out.count("PASS") >= 2
 
 
+def test_verify_details_list_the_failing_cells_in_order(capsys, monkeypatch):
+    # each route doubles its value at cells whose integer arguments sum to
+    # a number not divisible by 3, so every check below fails on a known
+    # set of cells; the shifted-index details print every cell, the
+    # others the first four
+    def doubled_at_some_cells(fn):
+        def wrong(*args):
+            val = fn(*args)
+            ints = [a for a in args if type(a) is int]
+            return val + val if sum(map(abs, ints)) % 3 else val
+        return wrong
+
+    for name in ("moment_negative", "toeplitz_det", "closed_moment_nm",
+                 "closed_moment_nrs", "geronimus_gf_moment",
+                 "star_to_phi_coeff_paths", "star_to_star_coeff_paths",
+                 "star_pairing_oracle"):
+        monkeypatch.setattr(cli, name,
+                            doubled_at_some_cells(getattr(cli, name)))
+    monkeypatch.setattr(cli, "det_identity_check",
+                        lambda vs, m, n: (0, 0, (m + n) % 2 == 0))
+    code, out, err = _run(capsys, "verify", "--max", "2")
+    assert code == 1
+    failed = {chk["name"]: chk["detail"]
+              for chk in json.loads(out)["checks"] if chk["status"] == "fail"}
+    assert len(failed) == 20
+    expected = {
+        "rho-ratio conjugation":
+            "mismatches: [(0, 1, 1), (0, 2, 2), (1, 0, 0), (1, 0, 1)]",
+        "toeplitz vs rho powers": "failed orders: [1, 2]",
+        "shifted-index factorization":
+            "failed (m, n): [(-2, 1), (-1, 0), (-1, 2), (0, 1), (1, 0), "
+            "(1, 2), (2, 1)]",
+        "nm[mass_point(gamma=1/2)]":
+            "failed (n, m): [(1, 0), (1, 1), (2, 0), (2, 2)]",
+        "nrs[mass_point(gamma=1/2)]":
+            "failed (n, r, s): [(0, 1, 1), (0, 2, 2), (1, 0, 0), (1, 0, 1)]",
+        "gf[geronimus(alpha=1)]": "failed (n, m): [(0, 0), (1, 0), (2, 2)]",
+        "path companions":
+            "failed: [('star_to_phi', 1, 0, 0), ('star_to_star', 1, 0, 0), "
+            "('star_to_phi', 1, 0, 1), ('star_to_star', 1, 0, 1)]",
+        "negative-index pairing":
+            "failed: [(1, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 2)]",
+    }
+    assert {name: failed[name] for name in expected} == expected
+
+
 # ---------------------------------------------------------------------------
 # output destinations and parser behavior
 

@@ -2,9 +2,11 @@
 against a golden file.
 
 `golden_cli.txt` holds each invocation's exit code and standard output,
-with every ``elapsed_ms`` field removed from JSON reports (the text
-formats used here print no times).  Rewrite it only for an intended
-output change, from the root of a checkout:
+with the times masked: every ``elapsed_ms`` field removed from JSON
+reports, the ``[x.xxx ms]`` of text lines and the trailing
+``elapsed_ms`` column of CSV tables.  CSV rows end with ``\r\n``, so the
+file is read and written without newline translation.  Rewrite it only
+for an intended output change, from the root of a checkout:
 
     PYTHONPATH=src python -m tests.test_golden
 """
@@ -51,6 +53,26 @@ GRID = (
                               ("negative", "2", "1", "0"))]
     + [("verify", "--format", "text", "--max", "2"),
        ("verify", "--format", "text", "--max", "2", "--mode", "numeric")]
+    # every (command, format) pair the blocks above leave out
+    + [("moment", DYADIC, "-n", "3", "-r", "1", "-s", "2", "--method", "all"),
+       ("moment", "--family", "al-salam-carlitz", "--param", "q=1/2",
+        "-n", "2", "--method", "all"),
+       ("moment", "-n", "2", "-r", "1", "-s", "2", "--method", "all",
+        "--format", "csv"),
+       ("paths", "--model", "schroder", "-n", "2", "-r", "1", "-s", "1",
+        "--format", "json"),
+       ("paths", "--model", "lukasiewicz", "-n", "3", "-r", "1", "-s", "1",
+        "--format", "csv"),
+       ("family",),
+       ("family", "--name", "rogers_szego", "--param", "q=1/3",
+        "--count", "6", "--format", "json"),
+       ("family", "--name", "bernstein_szego", "--param", "zeta=0.5",
+        "--count", "4", "--format", "csv"),
+       ("verify", "--format", "json", "--max", "2"),
+       ("verify", "--suite", "families", "--format", "text", "--max", "2",
+        "--mode", "numeric")]
+    # the family listing honours --format
+    + [("family", "--format", fmt) for fmt in ("json", "csv")]
 )
 
 
@@ -60,6 +82,16 @@ def _drop_elapsed(doc):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _mask_times(argv, out):
+    if "json" in argv:
+        return _drop_elapsed(json.loads(out))
+    if "csv" in argv:
+        if out.startswith("n,r,s,method,value,elapsed_ms\r\n"):
+            return re.sub(r"(?m),\d+\.\d{3}\r$", ",x.xxx\r", out)
+        return out
+    return re.sub(r"\[\d+\.\d{3} ms\]", "[x.xxx ms]", out)
+
+
 def run_grid():
     """One ``$ opuc ...`` block per invocation: exit code, then output."""
     blocks = []
@@ -67,17 +99,17 @@ def run_grid():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = main(list(argv))
-        out = buf.getvalue()
-        if "json" in argv:
-            out = _drop_elapsed(json.loads(out))
+        out = _mask_times(argv, buf.getvalue())
         blocks.append("$ opuc %s\n[exit %d]\n%s" % (" ".join(argv), code, out))
     return blocks
 
 
 def test_cli_output_matches_golden():
-    golden = re.split(r"(?m)^(?=\$ opuc )", GOLDEN.read_text())[1:]
+    with open(GOLDEN, newline="") as fh:
+        golden = re.split(r"(?m)^(?=\$ opuc )", fh.read())[1:]
     assert run_grid() == golden
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text("".join(run_grid()))
+    with open(GOLDEN, "w", newline="") as fh:
+        fh.write("".join(run_grid()))

@@ -32,3 +32,44 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def format_handling(source):
+    """(function, what) for each `cmd_*` function that reads the output
+    flags or writes to standard output itself instead of through the one
+    writer."""
+    found = []
+    for func in ast.parse(source).body:
+        if not (isinstance(func, ast.FunctionDef)
+                and func.name.startswith("cmd_")):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and (node.value.id, node.attr) in (
+                        ("args", "format"), ("args", "out"),
+                        ("sys", "stdout"))):
+                found.append((func.name, "%s.%s" % (node.value.id,
+                                                    node.attr)))
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr"
+                  and any(isinstance(arg, ast.Constant)
+                          and arg.value in ("format", "out", "stdout")
+                          for arg in node.args)):
+                found.append((func.name, "getattr"))
+    return found
+
+
+def test_format_handling_is_found():
+    source = ("def cmd_a(args):\n    return args.format\n"
+              "def cmd_b(args):\n    sys.stdout.write(getattr(args, 'out'))\n"
+              "def _write(args):\n    return args.format, args.out\n")
+    assert sorted(format_handling(source)) == [
+        ("cmd_a", "args.format"), ("cmd_b", "getattr"),
+        ("cmd_b", "sys.stdout")]
+
+
+def test_cli_commands_write_only_through_the_writer():
+    cli = Path(opuc.__file__).with_name("cli.py")
+    assert format_handling(cli.read_text()) == []
