@@ -51,9 +51,6 @@ EXIT_CAP = 3
 # oracle to 34 s and 400 MB
 GENERIC_MOMENT_LIMIT = 10
 
-VERIFY_SUITES = ("cross-model", "reciprocity", "determinants", "families",
-                 "linearization", "positivity", "all")
-
 
 class CliError(Exception):
     """Invalid input or unsupported request; maps to exit code 1."""
@@ -184,7 +181,7 @@ def _build_sequence(args):
     if args.family is not None:
         spec = _family_spec(args.family, args.param, args.mode)
     literals = []
-    if args.alphas:
+    if args.alphas is not None:
         if spec is not None:
             raise CliError("--family and --alphas are mutually exclusive")
         literals = [t for t in args.alphas.split(",") if t.strip()]
@@ -198,10 +195,7 @@ def _build_sequence(args):
         else SYMBOLIC)
     if literals:
         table = [literal_value(t, mode) for t in literals]
-        try:
-            return VerblunskySequence.from_table(table, mode), None, mode
-        except ValueError as exc:
-            raise CliError(str(exc))
+        return VerblunskySequence.from_table(table, mode), None, mode
     if mode == NUMERIC:
         raise CliError("numeric mode needs --alphas or --family")
     return VerblunskySequence.generic(), None, mode
@@ -496,7 +490,7 @@ def _family_grid_specs():
     ]
 
 
-def _suite_families(checks, maxn, mode, seed):
+def _suite_families(checks, maxn):
     for spec in _family_grid_specs():
         fmode = family_mode(spec)
         vs = verblunsky_of(spec, fmode)
@@ -521,7 +515,7 @@ def _suite_families(checks, maxn, mode, seed):
                "" if not bad else "failed (n, m): %s" % bad[:4])
 
 
-def _suite_linearization(checks, maxn, mode, seed):
+def _suite_linearization(checks, maxn):
     vs = VerblunskySequence.generic()
     top = min(maxn, 3)
     bad = []
@@ -574,7 +568,7 @@ def _suite_linearization(checks, maxn, mode, seed):
            "" if not bad else "failed: %s" % bad[:4])
 
 
-def _suite_positivity(checks, maxn, mode, seed):
+def _suite_positivity(checks, maxn):
     vs = VerblunskySequence.generic()
     top = min(maxn, 4)
     bad = []
@@ -608,24 +602,35 @@ def _suite_positivity(checks, maxn, mode, seed):
            saw_negative, "starred-basis families are not beta-positive")
 
 
+# (name, suite, default --max, seeded): --mode and --seed reach only the
+# seeded suites; the others check fixed data and have no numeric mode
 _SUITE_TABLE = (
-    ("cross-model", _suite_cross_model, 4),
-    ("reciprocity", _suite_reciprocity, 4),
-    ("determinants", _suite_determinants, 4),
-    ("families", _suite_families, 4),
-    ("linearization", _suite_linearization, 3),
-    ("positivity", _suite_positivity, 4),
+    ("cross-model", _suite_cross_model, 4, True),
+    ("reciprocity", _suite_reciprocity, 4, True),
+    ("determinants", _suite_determinants, 4, True),
+    ("families", _suite_families, 4, False),
+    ("linearization", _suite_linearization, 3, False),
+    ("positivity", _suite_positivity, 4, False),
 )
+
+VERIFY_SUITES = tuple(name for name, *_ in _SUITE_TABLE) + ("all",)
 
 
 def cmd_verify(args):
     checks = []
     mode = args.mode or SYMBOLIC
-    for name, fn, default_max in _SUITE_TABLE:
+    for name, fn, default_max, seeded in _SUITE_TABLE:
         if args.suite not in ("all", name):
             continue
-        fn(checks, args.max if args.max is not None else default_max,
-           mode, args.seed)
+        maxn = args.max if args.max is not None else default_max
+        if seeded:
+            fn(checks, maxn, mode, args.seed)
+        elif mode == SYMBOLIC:
+            fn(checks, maxn)
+        elif args.suite != "all":
+            numeric = ", ".join(row[0] for row in _SUITE_TABLE if row[3])
+            raise CliError("suite %s has no numeric mode; --mode numeric "
+                           "runs %s" % (name, numeric))
     ok = all(chk["status"] == "pass" for chk in checks)
     lines = ["%-4s %-14s %-36s %s"
              % (chk["status"].upper(), chk["suite"], chk["name"],

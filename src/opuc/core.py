@@ -8,7 +8,7 @@ solving two unit-lower-triangular systems, and the sesquilinear form is
 <f, g> = L(f(z) * conj(g)(1/z)).
 """
 
-from .algebra import (SYMBOLIC, NUMERIC, ExactScalar, LaurentPoly,
+from .algebra import (SYMBOLIC, NUMERIC, LaurentPoly,
                       alpha as sym_alpha, as_mode_scalar,
                       bar_inverse_substitute, conjugate, one_of, zero_of)
 
@@ -20,16 +20,17 @@ class VerblunskySequence:
     |alpha_j| < 1 for every accessed j; symbolic mode cannot check this
     and leaves it as a caller obligation.  Instances are treated as
     immutable; the caches only memoize pure functions of the sequence.
-    Every table that grows with n (the phi pairs, the classical moments,
-    each path model's columns, the transfer rows and the theta blocks) is
-    a list in `cache`, extended by `sweep`.
+    Every table that grows with n (the coefficients, the phi pairs, the
+    classical moments, each path model's columns and the transfer rows)
+    is a list in `cache`, extended by `sweep`; the theta blocks are not
+    cached.  Entry j + 1 of the coefficient table holds (alpha_j,
+    conj(alpha_j), rho_j), and `alpha`, `alpha_bar` and `rho` only read it.
     """
 
     def __init__(self, accessor, mode, source="table"):
         self.mode = mode
         self.source = source
         self._accessor = accessor
-        self._alphas = {}
         self.cache = {}
 
     @classmethod
@@ -55,32 +56,20 @@ class VerblunskySequence:
         return cls(fn, mode, source=source)
 
     def alpha(self, j):
-        if j == -1:
-            return as_mode_scalar(-1, self.mode)
         if j < -1:
             raise ValueError("alpha index must be >= -1, got %d" % j)
-        v = self._alphas.get(j)
-        if v is None:
-            v = self._accessor(j)
-            if self.mode == NUMERIC:
-                v = complex(v)
-                if abs(v) >= 1:
-                    raise ValueError(
-                        "|alpha_%d| = %g >= 1; numeric sequences must stay "
-                        "inside the open unit disk" % (j, abs(v)))
-            elif not isinstance(v, ExactScalar):
-                v = as_mode_scalar(v, SYMBOLIC)
-            self._alphas[j] = v
-        return v
+        return self.sweep(("coefficients",), j + 1, _coef_step)[j + 1][0]
 
     def alpha_bar(self, j):
-        return conjugate(self.alpha(j))
+        if j < -1:
+            raise ValueError("alpha index must be >= -1, got %d" % j)
+        return self.sweep(("coefficients",), j + 1, _coef_step)[j + 1][1]
 
     def rho(self, j):
         """1 - alpha_j * conj(alpha_j)."""
         if j < 0:
             raise ValueError("rho index must be >= 0, got %d" % j)
-        return 1 - self.alpha(j) * self.alpha_bar(j)
+        return self.sweep(("coefficients",), j + 1, _coef_step)[j + 1][2]
 
     def rho_product(self, lo, hi):
         """Product of rho_j for lo <= j < hi (empty product is 1)."""
@@ -108,6 +97,18 @@ class VerblunskySequence:
 
     def zero(self):
         return zero_of(self.mode)
+
+
+def _coef_step(vs, table):
+    # entry j + 1 of the coefficient table; entry 0 is alpha_{-1} = -1,
+    # which lies on the unit circle and so skips the numeric disk check
+    j = len(table) - 1
+    v = as_mode_scalar(vs._accessor(j) if j >= 0 else -1, vs.mode)
+    if vs.mode == NUMERIC and j >= 0 and abs(v) >= 1:
+        raise ValueError("|alpha_%d| = %g >= 1; numeric sequences must stay "
+                         "inside the open unit disk" % (j, abs(v)))
+    v_bar = conjugate(v)
+    return v, v_bar, 1 - v * v_bar
 
 
 class PhiPair:
@@ -215,6 +216,18 @@ def inner_product(vs, f, g):
     return functional_eval(vs, f * bar_inverse_substitute(g))
 
 
+def normalized_pairing(vs, s, g):
+    """<phi_s, g> / <phi_s, phi_s>; a zero norm raises ValueError."""
+    norm = kappa(vs, s)
+    if not norm:
+        zeros = [j for j in range(s) if not vs.rho(j)]
+        raise ValueError(
+            "the oracle divides by <phi_%d, phi_%d>, which is 0: %s"
+            % (s, s, "rho_%d = 0" % zeros[0] if zeros
+               else "the product of rho_j underflows"))
+    return inner_product(vs, phi(vs, s).phi, g) / norm
+
+
 def moment_oracle(vs, n, r, s):
     """mu_{n,r,s} = <phi_s, z^n phi_r> / <phi_s, phi_s>, from scratch.
 
@@ -223,13 +236,4 @@ def moment_oracle(vs, n, r, s):
     """
     if r < 0 or s < 0:
         raise ValueError("r and s must be >= 0")
-    norm = kappa(vs, s)
-    if not norm:
-        zeros = [j for j in range(s) if not vs.rho(j)]
-        raise ValueError(
-            "the oracle divides by <phi_%d, phi_%d>, which is 0: %s"
-            % (s, s, "rho_%d = 0" % zeros[0] if zeros
-               else "the product of rho_j underflows"))
-    num = inner_product(vs, phi(vs, s).phi, phi(vs, r).phi.shift(n))
-    return num / norm
-
+    return normalized_pairing(vs, s, phi(vs, r).phi.shift(n))

@@ -126,40 +126,32 @@ def verblunsky_of(spec, mode=None):
     tag = spec.tag
     exact = spec.exact and mode == SYMBOLIC
     if tag == "geronimus":
-        const = as_mode_scalar(v, mode)
-        fn = lambda j: const
+        fn = lambda j: v
     elif tag == "bernstein_szego":
-        first = as_mode_scalar(v, mode)
-        zero = zero_of(mode)
-        fn = lambda j: first if j == 0 else zero
+        fn = lambda j: v if j == 0 else 0
     elif tag == "mass_point":
         g = Fraction(v) if exact else float(v)
-        fn = lambda j: as_mode_scalar(g / (1 + j * g), mode)
+        fn = lambda j: g / (1 + j * g)
     elif tag == "circular_jacobi":
         a = Fraction(v) if exact else float(v)
-        fn = lambda j: as_mode_scalar(-a / (j + a + 1), mode)
+        fn = lambda j: -a / (j + a + 1)
     elif tag == "single_nontrivial":
         if v == 1:
-            fn = lambda j: as_mode_scalar(Fraction(-1, j + 2), mode)
+            fn = lambda j: Fraction(-1, j + 2)
         else:
             u = _snm_u(v)
             top = _usinh(u, 1)
-            fn = lambda j: complex(-top / _usinh(u, j + 2))
+            fn = lambda j: -top / _usinh(u, j + 2)
     elif tag == "rogers_szego":
         if mode == SYMBOLIC:
             t = t_root(v)
             fn = lambda j: t ** (j + 1) if j % 2 == 0 else -(t ** (j + 1))
         else:
             rt = math.sqrt(v)
-            fn = lambda j: complex(rt ** (j + 1) if j % 2 == 0 else -(rt ** (j + 1)))
+            fn = lambda j: rt ** (j + 1) if j % 2 == 0 else -(rt ** (j + 1))
     else:  # al_salam_carlitz
         q = Fraction(v) if exact else float(v)
-        zero = zero_of(mode)
-
-        def fn(j):
-            if j % 2 == 0:
-                return zero
-            return as_mode_scalar(1 - 2 * q ** ((j + 1) // 2), mode)
+        fn = lambda j: 1 - 2 * q ** ((j + 1) // 2) if j % 2 else 0
 
     return VerblunskySequence.from_function(fn, mode, source=repr(spec))
 

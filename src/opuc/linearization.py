@@ -15,7 +15,7 @@ it over a different computation route.
 """
 
 from .algebra import LaurentPoly, zero_of
-from .core import inner_product, kappa, phi
+from .core import normalized_pairing, phi
 from .errors import ZeroVerblunsky
 from .matrices import ScalarMatrix
 from .paths import (DEFAULT_CAP, UP, enumerate_paths, moment_lukasiewicz,
@@ -286,5 +286,4 @@ def star_pairing_oracle(vs, n, r, s):
     n may be negative; compare star_to_phi_coeff (n >= 0) and
     star_to_phi_coeff_negative (n <= -1) against this.
     """
-    num = inner_product(vs, phi(vs, s).phi, phi(vs, r).phi_star.shift(n))
-    return num / kappa(vs, s)
+    return normalized_pairing(vs, s, phi(vs, r).phi_star.shift(n))

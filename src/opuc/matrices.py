@@ -8,8 +8,9 @@ on the Hessenberg U, O(d) per factor and O(n*d) in all for the blocks,
 with d = r + n + 1.  Sums keep the order of `ScalarMatrix.__mul__`, so
 a walk equals the entry of the dense product exactly.
 
-U's rows and the blocks do not depend on d, so each sequence sweeps
-them once (`VerblunskySequence.sweep`) and every walk reuses them.
+U's rows do not depend on d, so each sequence sweeps them once
+(`VerblunskySequence.sweep`) and every walk reuses them; the blocks are
+not cached, as each walk reads them off the coefficient table.
 
 Determinants are taken by fraction-free elimination, which is exact over
 the symbolic coefficient ring and also serves the numeric mode.
@@ -139,16 +140,11 @@ def theta_block(vs, j):
     return [[vs.alpha(j), vs.one()], [vs.rho(j), -vs.alpha_bar(j)]]
 
 
-def _next_theta(vs, blocks):
-    return theta_block(vs, len(blocks))
-
-
 def _factor_blocks(vs, parity, dim):
     """(first height, block) pairs of a factor: even columns pair heights
     (0,1), (2,3), ...; odd ones fix height 0 and pair (1,2), (3,4), ..."""
-    blocks = vs.sweep(("theta",), dim - 1, _next_theta)
     fixed = [(0, [[vs.one()]])] if parity else []
-    return fixed + [(j, blocks[j]) for j in range(parity, dim, 2)]
+    return fixed + [(j, theta_block(vs, j)) for j in range(parity, dim, 2)]
 
 
 def cmv_factor(vs, x, dim):

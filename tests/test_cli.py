@@ -260,6 +260,14 @@ def test_conflicting_sequence_flags(capsys):
     assert code == 1 and "mutually exclusive" in err
 
 
+def test_an_empty_alphas_value_is_refused_in_every_spelling(capsys):
+    # an empty value names no sequence; it must not fall back to the
+    # generic symbols
+    for flag in (["--alphas="], ["--alphas", ""], ["--alphas", ","]):
+        code, out, err = _run(capsys, "moment", *flag)
+        assert (code, out, err) == (1, "", "error: --alphas is empty\n"), flag
+
+
 def test_decimal_literal_rejected_in_symbolic_mode(capsys):
     code, out, err = _run(capsys, "moment", "--alphas", "0.5", "--mode",
                           "symbolic")
@@ -382,6 +390,23 @@ def test_verify_cross_model_numeric(capsys):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["checks"]) == 3
+
+
+def test_verify_numeric_runs_only_the_seeded_suites(capsys):
+    code, out, err = _run(capsys, "verify", "--max", "2", "--mode",
+                          "numeric")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config_echo"]["mode"] == "numeric"
+    assert ([chk["suite"] for chk in doc["checks"]]
+            == ["cross-model"] * 3 + ["reciprocity"] + ["determinants"] * 2)
+    for suite in ("families", "linearization", "positivity"):
+        code, out, err = _run(capsys, "verify", "--suite", suite, "--mode",
+                              "numeric")
+        assert (code, out) == (1, "")
+        assert err == ("error: suite %s has no numeric mode; --mode numeric "
+                       "runs cross-model, reciprocity, determinants\n"
+                       % suite)
 
 
 def test_verify_reciprocity_records_orientation(capsys):

@@ -1,6 +1,7 @@
 """Coefficient sequences, the polynomial recurrences, the moment
 functional, and the inner-product oracle."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,9 @@ from opuc.algebra import (GaussianRational, LaurentPoly, NUMERIC, SYMBOLIC,
                           gauss, values_close)
 from opuc.core import (VerblunskySequence, functional_eval, inner_product,
                        kappa, moment_oracle, moments_from_phis, phi, reverse)
+from opuc.matrices import cmv_walk_entry, u_power_entry
+from opuc.paths import (moment_gmotzkin, moment_lukasiewicz, moment_negative,
+                        moment_schroder)
 
 from .conftest import generic_vs, numeric_vs
 
@@ -54,6 +58,53 @@ def test_numeric_mode_rejects_coefficients_outside_the_disk():
     vs = VerblunskySequence.from_table([1.2], NUMERIC)
     with pytest.raises(ValueError):
         vs.alpha(0)
+
+
+# route -> the highest alpha index it may read for mu(n, r, s): the
+# forward walks stay below height r + n + 1, the mirrored walk runs from
+# s to r, and the oracle's norm kappa_s reads rho_0 .. rho_{s-1}
+READ_BOUNDS = {
+    moment_lukasiewicz: lambda n, r, s: r + n,
+    moment_gmotzkin: lambda n, r, s: r + n,
+    moment_schroder: lambda n, r, s: r + n,
+    u_power_entry: lambda n, r, s: r + n,
+    cmv_walk_entry: lambda n, r, s: r + n,
+    moment_negative: lambda n, r, s: max(r, s) + n,
+    moment_oracle: lambda n, r, s: max(r + n, s),
+}
+
+
+def _counting_sequence(mode):
+    """A sequence whose rule records each index it is asked for."""
+    reads = []
+
+    def rule(j):
+        reads.append(j)
+        if mode == SYMBOLIC:
+            return alpha(j)
+        return complex(0.3 + 0.05 * j, 0.2 - 0.03 * j)
+
+    return VerblunskySequence.from_function(rule, mode), reads
+
+
+@pytest.mark.parametrize("mode", [NUMERIC, SYMBOLIC])
+def test_each_coefficient_is_read_once_and_only_where_needed(mode):
+    shared, shared_reads = _counting_sequence(mode)
+    for (route, bound), (n, r, s) in itertools.product(
+            READ_BOUNDS.items(), itertools.product(range(3), repeat=3)):
+        vs, reads = _counting_sequence(mode)
+        route(vs, n, r, s)
+        assert reads == list(range(len(reads))), (route.__name__, n, r, s)
+        assert len(reads) <= bound(n, r, s) + 1, (route.__name__, n, r, s)
+        route(shared, n, r, s)
+    # one table serves every route: each index read once over the grid
+    assert shared_reads == list(range(len(shared_reads)))
+    for j in range(-1, len(shared_reads)):
+        assert shared.alpha(j) is shared.alpha(j)
+        assert shared.alpha_bar(j) is shared.alpha_bar(j)
+        assert shared.alpha_bar(j) == conjugate(shared.alpha(j))
+        if j >= 0:
+            assert shared.rho(j) is shared.rho(j)
 
 
 # ---------------------------------------------------------------------------

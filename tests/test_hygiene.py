@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never reads."""
+"""Source hygiene: no module imports a name it never reads, commands write
+only through the one writer, and a sequence keeps its memos in `cache`."""
 
 import ast
 from pathlib import Path
@@ -73,3 +74,47 @@ def test_format_handling_is_found():
 def test_cli_commands_write_only_through_the_writer():
     cli = Path(opuc.__file__).with_name("cli.py")
     assert format_handling(cli.read_text()) == []
+
+
+def sequence_state(source):
+    """(attributes `VerblunskySequence.__init__` assigns on self, modules'
+    reads of `._accessor`) for a {module name: source} map.  Only `core`
+    may read the rule: every other module goes through the accessors and
+    their one coefficient table."""
+    assigned, readers = set(), []
+    for name, text in sorted(source.items()):
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ClassDef)
+                    and node.name == "VerblunskySequence"):
+                for init in node.body:
+                    if (isinstance(init, ast.FunctionDef)
+                            and init.name == "__init__"):
+                        assigned |= {
+                            t.attr for t in ast.walk(init)
+                            if isinstance(t, ast.Attribute)
+                            and isinstance(t.ctx, ast.Store)
+                            and isinstance(t.value, ast.Name)
+                            and t.value.id == "self"}
+            elif (isinstance(node, ast.Attribute)
+                  and node.attr == "_accessor" and name != "core"):
+                readers.append(name)
+    return assigned, readers
+
+
+def test_sequence_state_is_found():
+    source = {
+        "core": ("class VerblunskySequence:\n"
+                 "    def __init__(self, f):\n"
+                 "        self.mode = self._memo = f\n"
+                 "    def alpha(self, j):\n"
+                 "        self.other = self._accessor(j)\n"),
+        "paths": "def f(vs):\n    return vs._accessor(0)\n",
+    }
+    assert sequence_state(source) == ({"mode", "_memo"}, ["paths"])
+
+
+def test_sequence_holds_no_memo_outside_its_cache():
+    source = {path.stem: path.read_text() for path in MODULES}
+    assert sequence_state(source) == (
+        {"mode", "source", "_accessor", "cache"}, [])

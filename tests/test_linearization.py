@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from opuc.algebra import (SYMBOLIC, LaurentPoly, alpha, alpha_bar, beta_form,
                           conjugate, is_polynomial, values_close)
-from opuc.core import VerblunskySequence, phi
+from opuc.core import VerblunskySequence, moment_oracle, phi
 from opuc.errors import ZeroVerblunsky
+from opuc.families import FamilySpec, verblunsky_of
 from opuc.linearization import (PHI_BASIS, PHI_STAR_BASIS, ExpansionResult,
                                 expand_in_phi_basis, expand_in_phistar_basis,
                                 expand_moment_basis, phi_to_star_coeff,
@@ -189,6 +190,18 @@ def test_negative_shift_pairing_numeric():
                 assert values_close(
                     star_to_phi_coeff_negative(vs, n, r, s),
                     star_pairing_oracle(vs, -n, r, s)), (n, r, s)
+
+
+def test_both_oracles_refuse_a_zero_norm_alike():
+    # symbolic geronimus admits |alpha| = 1, so rho_0 = 0 and phi_1 has
+    # norm 0; phi_0 keeps norm 1
+    vs = verblunsky_of(FamilySpec("geronimus", 1))
+    for oracle in (star_pairing_oracle, moment_oracle):
+        assert oracle(vs, 1, 0, 0) == 1
+        with pytest.raises(ValueError) as info:
+            oracle(vs, 1, 0, 1)
+        assert str(info.value) == ("the oracle divides by <phi_1, phi_1>, "
+                                   "which is 0: rho_0 = 0")
 
 
 def test_negative_shift_reduces_to_mirrored_moments_at_zero_width():
