@@ -232,8 +232,12 @@ def moment_oracle(vs, n, r, s):
     """mu_{n,r,s} = <phi_s, z^n phi_r> / <phi_s, phi_s>, from scratch.
 
     n may be negative.  This is the ground truth every other moment
-    method is tested against.
+    method is tested against.  For n >= 0 and s > r + n, z^n phi_r has
+    degree below s, so it is orthogonal to phi_s and the moment is 0
+    without reading the norm's alpha_{r+n}..alpha_{s-1}.
     """
     if r < 0 or s < 0:
         raise ValueError("r and s must be >= 0")
+    if n >= 0 and s > r + n:
+        return vs.zero()
     return normalized_pairing(vs, s, phi(vs, r).phi.shift(n))

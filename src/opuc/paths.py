@@ -299,13 +299,20 @@ def moment_gmotzkin(vs, n, r, s):
     x_end = 2 * n - s
     if x_end < -r or s > r + n:
         return vs.zero()
-    # column heights are capped by the rise bound r+t and by what can
-    # still descend to a served endpoint; the cap depends on the largest
-    # n served, so a table too short for n is dropped and swept afresh
+    # column t holds heights 0..min(r + t, 2*top + r - t): the rise bound,
+    # and what can still descend to the endpoint of top, the largest n
+    # served.  A cell reads only heights y - 1..y + 1 of column t - 1, so
+    # no stored cell changes when top grows: the table is kept, each
+    # column's cap is raised from t = 1 up, and then new columns are
+    # appended.  A raised column is a new list rather than `+=`, which
+    # would leave over-allocated slots in every column of the table.
     key = ("gm_cols", r)
     cols = vs.cache.get(key)
     if cols is not None and len(cols) <= 2 * n + r:
-        del vs.cache[key]
+        for t in range(1, len(cols)):
+            col = cols[t]
+            cols[t] = col + _gm_cells(vs, cols[t - 1], t - 1 - r, len(col),
+                                      min(r + t, 2 * n + r - t))
     col = vs.sweep(key, 2 * n + r, _gm_step, r, n)[x_end + r]
     return col[s] if s < len(col) else vs.zero()
 
@@ -314,13 +321,15 @@ def _gm_step(vs, cols, r, top):
     if not cols:
         return _unit_column(vs, r)
     t = len(cols)
-    x = t - 1 - r
-    hmax = min(r + t, 2 * top + r - t)
-    col = cols[-1]
+    return _gm_cells(vs, cols[-1], t - 1 - r, 0, min(r + t, 2 * top + r - t))
+
+
+def _gm_cells(vs, col, x, lo, hmax):
+    # heights lo..hmax of the column after col, whose abscissa is x
     h = len(col)
     zero = vs.zero()
-    new = [zero] * (hmax + 1)
-    for y in range(hmax + 1):
+    new = [zero] * (hmax + 1 - lo)
+    for y in range(lo, hmax + 1):
         acc = zero
         if 1 <= y <= h and (x + y - 1) % 2 == 0:
             v = col[y - 1]
@@ -337,7 +346,7 @@ def _gm_step(vs, cols, r, top):
                     acc = acc + vs.alpha(y) * v
                 else:
                     acc = acc - vs.alpha_bar(y - 1) * v
-        new[y] = acc
+        new[y - lo] = acc
     return new
 
 

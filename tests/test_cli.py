@@ -220,10 +220,14 @@ def test_moment_zero_prints_unsigned_on_every_route(capsys):
 
 
 def test_moment_table_of_r_plus_n_plus_one_entries_suffices(capsys):
-    for n, r in ((2, 0), (1, 1), (0, 2)):
-        for s in range(3):
+    # past s = r + n, phi_s is orthogonal to z^n phi_r: every route,
+    # the oracle included, answers 0 without reading alpha_{r+n+1}..
+    for n, r in ((2, 0), (1, 1), (0, 2), (1, 0)):
+        for s in range(r + n + 3):
             values = _moment_values(capsys, TABLE[:r + n + 1], n, r, s)
             assert len(values) == 6, (n, r, s, values)
+            if s > r + n:
+                assert set(values.values()) == {"0"}, (n, r, s, values)
 
 
 def test_moment_csv_format(capsys):

@@ -62,7 +62,8 @@ def test_numeric_mode_rejects_coefficients_outside_the_disk():
 
 # route -> the highest alpha index it may read for mu(n, r, s): the
 # forward walks stay below height r + n + 1, the mirrored walk runs from
-# s to r, and the oracle's norm kappa_s reads rho_0 .. rho_{s-1}
+# s to r, and the oracle (n >= 0 here) reads phi_s and its norm kappa_s
+# (rho_0 .. rho_{s-1}) only when s <= r + n
 READ_BOUNDS = {
     moment_lukasiewicz: lambda n, r, s: r + n,
     moment_gmotzkin: lambda n, r, s: r + n,
@@ -70,7 +71,7 @@ READ_BOUNDS = {
     u_power_entry: lambda n, r, s: r + n,
     cmv_walk_entry: lambda n, r, s: r + n,
     moment_negative: lambda n, r, s: max(r, s) + n,
-    moment_oracle: lambda n, r, s: max(r + n, s),
+    moment_oracle: lambda n, r, s: r + n,
 }
 
 
@@ -309,12 +310,15 @@ def test_oracle_rejects_negative_degrees():
 
 def test_oracle_refuses_a_zero_norm():
     # |alpha_1| = 1 makes rho_1 = 0 exactly; a product of tiny rho_j can
-    # also reach 0 in floating point
+    # also reach 0 in floating point.  Past s = r + n the moment is 0 and
+    # the norm is never formed.
     unit = VerblunskySequence.from_table([Fraction(1, 2), -1, 0, 0],
                                          SYMBOLIC)
     assert moment_oracle(unit, 1, 0, 1) == 1
     with pytest.raises(ValueError, match="rho_1 = 0"):
-        moment_oracle(unit, 1, 0, 2)
+        moment_oracle(unit, 1, 1, 2)
+    assert moment_oracle(unit, 1, 0, 2) == 0
     tiny = VerblunskySequence.from_table([0.99999999] * 60, NUMERIC)
     with pytest.raises(ValueError, match="underflows"):
-        moment_oracle(tiny, 1, 0, 50)
+        moment_oracle(tiny, 50, 0, 50)
+    assert moment_oracle(tiny, 1, 0, 50) == 0

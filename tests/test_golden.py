@@ -2,6 +2,7 @@
 against a golden file.
 
 `golden_cli.txt` holds each invocation's exit code and standard output,
+then, for a nonzero exit, its standard error after a ``[stderr]`` line,
 with the times masked: every ``elapsed_ms`` field removed from JSON
 reports, the ``[x.xxx ms]`` of text lines and the trailing
 ``elapsed_ms`` column of CSV tables.  CSV rows end with ``\r\n``, so the
@@ -93,14 +94,18 @@ def _mask_times(argv, out):
 
 
 def run_grid():
-    """One ``$ opuc ...`` block per invocation: exit code, then output."""
+    """One ``$ opuc ...`` block per invocation: exit code, output, and
+    the error text of a failed one."""
     blocks = []
     for argv in GRID:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(list(argv))
-        out = _mask_times(argv, buf.getvalue())
-        blocks.append("$ opuc %s\n[exit %d]\n%s" % (" ".join(argv), code, out))
+        block = "$ opuc %s\n[exit %d]\n%s" % (
+            " ".join(argv), code, _mask_times(argv, out.getvalue()))
+        if code:
+            block += "[stderr]\n" + err.getvalue()
+        blocks.append(block)
     return blocks
 
 

@@ -1,5 +1,6 @@
 """Source hygiene: no module imports a name it never reads, commands write
-only through the one writer, and a sequence keeps its memos in `cache`."""
+only through the one writer, a sequence keeps its memos in `cache`, and
+only `sweep` stores a `cache` entry, which nothing removes."""
 
 import ast
 from pathlib import Path
@@ -118,3 +119,65 @@ def test_sequence_holds_no_memo_outside_its_cache():
     source = {path.stem: path.read_text() for path in MODULES}
     assert sequence_state(source) == (
         {"mode", "source", "_accessor", "cache"}, [])
+
+
+def cache_edits(source):
+    """(function, edit) for each statement that deletes, pops, clears or
+    assigns an entry of a `.cache`; function names are dotted paths from
+    the module, so a method reads `Class.method`."""
+    found = []
+
+    def is_cache(node):
+        return isinstance(node, ast.Attribute) and node.attr == "cache"
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            name = where
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                name = "%s.%s" % (where, child.name) if where else child.name
+            targets, edit = [], None
+            if isinstance(child, ast.Delete):
+                targets, edit = child.targets, "del"
+            elif isinstance(child, ast.Assign):
+                targets, edit = child.targets, "assign"
+            elif isinstance(child, ast.AugAssign):
+                targets, edit = [child.target], "assign"
+            if any(isinstance(sub, ast.Subscript) and is_cache(sub.value)
+                   and isinstance(sub.ctx, (ast.Store, ast.Del))
+                   for target in targets for sub in ast.walk(target)):
+                found.append((name, edit))
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in ("pop", "clear")
+                    and is_cache(child.func.value)):
+                found.append((name, "." + child.func.attr))
+            visit(child, name)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_cache_edits_are_found():
+    source = ("class S:\n"
+              "    def sweep(self, key):\n"
+              "        table = self.cache[key] = []\n"
+              "        return table, self.cache[key], self.memo[key]\n"
+              "def f(vs, key):\n"
+              "    del vs.cache[key]\n"
+              "    vs.cache.pop(key, None)\n"
+              "    vs.cache.clear()\n"
+              "    vs.memo[key] = vs.cache.get(key)\n"
+              "    def g():\n"
+              "        vs.cache[key] += [1]\n"
+              "        a, vs.cache[key] = 1, []\n")
+    assert cache_edits(source) == [
+        ("S.sweep", "assign"), ("f", "del"), ("f", ".pop"), ("f", ".clear"),
+        ("f.g", "assign"), ("f.g", "assign")]
+
+
+def test_sweep_tables_only_grow():
+    # only `sweep` stores a table, and nothing removes one, so a table a
+    # caller holds is the one every later call extends
+    edits = [(path.stem,) + edit for path in MODULES
+             for edit in cache_edits(path.read_text())]
+    assert edits == [("core", "VerblunskySequence.sweep", "assign")]

@@ -63,3 +63,42 @@ def test_cache_order_never_changes_a_result(make, top):
     for cell in cells + cells[::-1]:
         for fn in ROUTES:
             assert fn(vs, *cell) == fresh[fn, cell], (fn, cell)
+
+
+def _count_coefficient_reads(vs):
+    """Wrap the sequence's three accessors; returns the list of calls."""
+    calls = []
+    for name in ("alpha", "alpha_bar", "rho"):
+        def counted(j, method=getattr(vs, name), name=name):
+            calls.append((name, j))
+            return method(j)
+        setattr(vs, name, counted)
+    return calls
+
+
+def test_growing_the_gmotzkin_table_never_computes_a_cell_twice():
+    # n ascending raises the kept columns: the table and its stored cells
+    # stay, and the ascending run reads exactly the coefficients that one
+    # fresh call at the top reads
+    top = 12
+    vs = numeric_vs(5)
+    calls = _count_coefficient_reads(vs)
+    kept = {}
+    for n in range(top + 1):
+        for r in range(4):
+            for s in range(4):
+                moment_gmotzkin(vs, n, r, s)
+            table = vs.cache[("gm_cols", r)]
+            if r in kept:
+                before, cells = kept[r]
+                assert table is before, (n, r)
+                assert all(all(a is b for a, b in zip(col, old))
+                           for col, old in zip(table, cells)), (n, r)
+            kept[r] = table, [list(col) for col in table]
+    fresh = numeric_vs(5)
+    fresh_calls = _count_coefficient_reads(fresh)
+    for r in range(4):
+        for s in range(4):
+            moment_gmotzkin(fresh, top, r, s)
+        assert vs.cache[("gm_cols", r)] == fresh.cache[("gm_cols", r)], r
+    assert sorted(calls) == sorted(fresh_calls)
