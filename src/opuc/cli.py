@@ -22,9 +22,8 @@ from .core import VerblunskySequence, moment_oracle, phi
 from .errors import (EnumerationCapExceeded, PositivityViolation,
                      UnsupportedFamily, ZeroVerblunsky)
 from .families import (FAMILY_PARAMS, FamilySpec, closed_moment_nm,
-                       closed_moment_nrs, family_mode, geronimus_gf_moment,
-                       verblunsky_of)
-from .linearization import (PHI_BASIS, PHI_STAR_BASIS, ExpansionResult,
+                       closed_moment_nrs, geronimus_gf_moment, verblunsky_of)
+from .linearization import (ExpansionResult, expand_moment_basis,
                             phi_to_star_coeff, phi_to_star_coeff_paths,
                             star_basis_change, star_overlap_matrix,
                             star_pairing_oracle, star_to_phi_coeff,
@@ -188,8 +187,8 @@ def _build_sequence(args):
         if not literals:
             raise CliError("--alphas is empty")
     if spec is not None:
-        mode = args.mode or family_mode(spec)
-        return verblunsky_of(spec, mode), spec, mode
+        vs = verblunsky_of(spec, args.mode)
+        return vs, spec, vs.mode
     mode = args.mode or (
         NUMERIC if any(parse_complex_literal(t)[2] for t in literals)
         else SYMBOLIC)
@@ -338,6 +337,8 @@ def cmd_paths(args):
     n, r, s = args.n, args.r, args.s
     if min(n, r, s) < 0:
         raise CliError("n, r, s must be nonnegative")
+    if args.cap < 0:
+        raise CliError("--cap must be nonnegative, got %d" % args.cap)
     start = time.perf_counter()
     listing = enumerate_paths(args.model, n, r, s, cap=args.cap)
     total = vs.zero()
@@ -379,8 +380,8 @@ def cmd_family(args):
                + [(tag, FAMILY_PARAMS[tag]) for tag in tags])
         return EXIT_OK
     spec = _family_spec(args.name, args.param, args.mode)
-    mode = args.mode or family_mode(spec)
-    vs = verblunsky_of(spec, mode)
+    vs = verblunsky_of(spec, args.mode)
+    mode = vs.mode
     results = [{"j": j, "alpha": _render(vs.alpha(j))}
                for j in range(args.count)]
     try:
@@ -492,22 +493,20 @@ def _family_grid_specs():
 
 def _suite_families(checks, maxn):
     for spec in _family_grid_specs():
-        fmode = family_mode(spec)
-        vs = verblunsky_of(spec, fmode)
+        vs = verblunsky_of(spec)
         bad = _misses(itertools.product(range(maxn + 1), repeat=2),
-                      lambda n, m: closed_moment_nm(spec, n, m, fmode),
+                      lambda n, m: closed_moment_nm(spec, n, m),
                       lambda n, m: moment_lukasiewicz(vs, n, 0, m))
         _check(checks, "families", "nm[%r]" % (spec,), not bad,
                "" if not bad else "failed (n, m): %s" % bad[:4])
         bad = _misses(itertools.product(range(min(maxn, 4) + 1), repeat=3),
-                      lambda n, r, s: closed_moment_nrs(spec, n, r, s, fmode),
+                      lambda n, r, s: closed_moment_nrs(spec, n, r, s),
                       lambda n, r, s: moment_lukasiewicz(vs, n, r, s))
         _check(checks, "families", "nrs[%r]" % (spec,), not bad,
                "" if not bad else "failed (n, r, s): %s" % bad[:4])
     for value in (Fraction(1, 2), 1, complex(0.3, 0.4)):
         spec = FamilySpec("geronimus", value)
-        fmode = family_mode(spec)
-        vs = verblunsky_of(spec, fmode)
+        vs = verblunsky_of(spec)
         bad = _misses(itertools.product(range(maxn + 1), repeat=2),
                       lambda n, m: geronimus_gf_moment(value, n, m),
                       lambda n, m: moment_lukasiewicz(vs, n, 0, m))
@@ -521,24 +520,14 @@ def _suite_linearization(checks, maxn):
     bad = []
     for n in range(top + 1):
         for r in range(top + 1 - n):
-            width = n + r + 1
-            pairs = (
-                ("phi/phi", phi(vs, r).phi.shift(n),
-                 [conjugate(moment_lukasiewicz(vs, n, r, s))
-                  for s in range(width)], PHI_BASIS),
-                ("star/phi", phi(vs, r).phi_star.shift(n),
-                 [conjugate(star_to_phi_coeff(vs, n, r, s))
-                  for s in range(width)], PHI_BASIS),
-                ("phi/star", phi(vs, r).phi.shift(n),
-                 [conjugate(phi_to_star_coeff(vs, n, r, s))
-                  for s in range(width)], PHI_STAR_BASIS),
-                ("star/star", phi(vs, r).phi_star.shift(n),
-                 [conjugate(star_to_star_coeff(vs, n, r, s))
-                  for s in range(width)], PHI_STAR_BASIS),
-            )
-            for name, target, coeffs, basis in pairs:
-                rebuilt = ExpansionResult(target, basis, coeffs)
-                if rebuilt.reconstruct(vs) != target:
+            shifted = {"phi": phi(vs, r).phi.shift(n),
+                       "phi_star": phi(vs, r).phi_star.shift(n)}
+            for key, coeffs in expand_moment_basis(vs, n, r).items():
+                target, basis = key
+                rebuilt = ExpansionResult(shifted[target], basis,
+                                          map(conjugate, coeffs))
+                if rebuilt.reconstruct(vs) != shifted[target]:
+                    name = ("%s/%s" % key).replace("phi_star", "star")
                     bad.append((name, n, r))
     _check(checks, "linearization", "round-trips", not bad,
            "four expansions, n + r <= %d" % top if not bad
@@ -571,7 +560,7 @@ def _suite_linearization(checks, maxn):
 def _suite_positivity(checks, maxn):
     vs = VerblunskySequence.generic()
     top = min(maxn, 4)
-    bad = []
+    bad, nonpoly, saw_negative = [], [], False
     for n in range(top + 1):
         for r in range(top + 1 - n):
             for s in range(n + r + 1):
@@ -579,12 +568,6 @@ def _suite_positivity(checks, maxn):
                     positivity_certificate(vs, n, r, s)
                 except PositivityViolation:
                     bad.append((n, r, s))
-    _check(checks, "positivity", "moment beta-positivity", not bad,
-           "n + r <= %d" % top if not bad else "failed: %s" % bad[:4])
-    nonpoly, saw_negative = [], False
-    for n in range(top + 1):
-        for r in range(top + 1 - n):
-            for s in range(n + r + 1):
                 cleared = (
                     vs.alpha_bar(s - 1) * vs.rho(s)
                     * moment_lukasiewicz(vs, n, r, s + 1)
@@ -596,6 +579,8 @@ def _suite_positivity(checks, maxn):
                         nonpoly.append((n, r, s))
                     elif any(c < 0 for c in beta_form(val).values()):
                         saw_negative = True
+    _check(checks, "positivity", "moment beta-positivity", not bad,
+           "n + r <= %d" % top if not bad else "failed: %s" % bad[:4])
     _check(checks, "positivity", "cleared starred-basis polynomiality",
            not nonpoly, "" if not nonpoly else "failed: %s" % nonpoly[:4])
     _check(checks, "positivity", "negative beta coefficient exists",
@@ -619,9 +604,19 @@ VERIFY_SUITES = tuple(name for name, *_ in _SUITE_TABLE) + ("all",)
 def cmd_verify(args):
     checks = []
     mode = args.mode or SYMBOLIC
-    for name, fn, default_max, seeded in _SUITE_TABLE:
-        if args.suite not in ("all", name):
-            continue
+    suites = [row for row in _SUITE_TABLE if args.suite in ("all", row[0])]
+    # the seeded suites reach the generic moment (max, max, max), which
+    # the `moment` cost guard admits up to n + max(r, s) = 2 * max
+    guarded = ", ".join(row[0] for row in suites if row[3])
+    limit = GENERIC_MOMENT_LIMIT // 2
+    if args.max is not None:
+        if args.max < 0:
+            raise CliError("--max must be nonnegative, got %d" % args.max)
+        if mode == SYMBOLIC and guarded and args.max > limit:
+            raise CliError("symbolic mode needs --max <= %d for %s, got %d; "
+                           "use --mode numeric for larger indices"
+                           % (limit, guarded, args.max))
+    for name, fn, default_max, seeded in suites:
         maxn = args.max if args.max is not None else default_max
         if seeded:
             fn(checks, maxn, mode, args.seed)

@@ -8,16 +8,19 @@ enumerator for small instances and a dynamic-programming evaluator with
 no practical size limit.  Both compute the same weighted totals, which
 the test suite exercises model against model.
 
-Each evaluator's state is a table per start height, cached on the
-driving sequence and grown one column at a time by
-`VerblunskySequence.sweep`, so later requests reuse the columns already
-built.  Every model has its own step kernel and its own tables: no
-model reads another's.
+The enumerator is one walker over per-model step rules; `_MODELS` holds
+each model's rule and step weight by name.  The DP evaluators keep their
+own kernels and never read that table.  Each evaluator's state is a
+table per start height, cached on the driving sequence and grown one
+column at a time by `VerblunskySequence.sweep`, so later requests reuse
+the columns already built; no model reads another's.
 
 All step weights live in the coefficient ring of the driving
 VerblunskySequence, so a single code path serves both exact symbolic and
 floating-point numeric work.
 """
+
+import functools
 
 from .algebra import SYMBOLIC, beta_form, render_beta_monomial
 from .errors import EnumerationCapExceeded, PositivityViolation, ZeroVerblunsky
@@ -27,8 +30,6 @@ LEVEL = (1, 0)
 VERTICAL = (0, -1)
 
 DEFAULT_CAP = 10 ** 6
-
-MODELS = ("lukasiewicz", "gmotzkin", "schroder", "negative")
 
 
 def _step_name(step):
@@ -64,11 +65,7 @@ class LatticePath:
 
     @property
     def end(self):
-        x, y = self.start
-        for dx, dy in self.steps:
-            x += dx
-            y += dy
-        return (x, y)
+        return self.points()[-1]
 
     def render(self):
         """One-line step listing, e.g. ``U H D2 V``."""
@@ -90,93 +87,115 @@ class LatticePath:
 
 
 # ---------------------------------------------------------------------------
-# enumeration
+# enumeration: one step rule and one step weight per model
 
 
-def _gen_lukasiewicz(n, r, s):
+def _unit_width(dx, last):
+    # steps (dx, 1), (dx, 0), ..., (dx, -y) out of height y, none at x = last
+    falls = functools.cache(
+        lambda y: tuple((dx, dy) for dy in range(1, -y - 1, -1)))
+    return lambda x, y, first: falls(y) if x != last else ()
+
+
+def _lukasiewicz(n, r, s):
     # unit-width steps (1, dy) with dy <= 1, height kept >= 0
-    steps = []
-
-    def walk(m, y):
-        if m == n:
-            if y == s:
-                yield tuple(steps)
-            return
-        if s - y > n - m:
-            return
-        for dy in range(1, -y - 1, -1):
-            steps.append((1, dy))
-            yield from walk(m + 1, y + dy)
-            steps.pop()
-
-    yield from walk(0, r)
+    return (0, r), (n, s), _unit_width(1, n), lambda x, y: n - x - (s - y)
 
 
-def _gen_gmotzkin(n, r, s):
+def _luka_weight(vs, x, y, dx, dy):
+    if dy == 1:
+        return vs.one()
+    return -vs.alpha(y) * vs.alpha_bar(y + dy - 1) * vs.rho_product(y + dy, y)
+
+
+def _gmotzkin(n, r, s):
     # width-1 steps only; rises at even x+y, falls at odd x+y
     x_end = 2 * n - s
-    steps = []
-
-    def walk(x, y):
-        if x == x_end:
-            if y == s:
-                yield tuple(steps)
-            return
-        rem = x_end - x
-        if abs(y - s) > rem:
-            return
-        even = (x + y) % 2 == 0
-        if even:
-            steps.append(UP)
-            yield from walk(x + 1, y + 1)
-            steps.pop()
-        steps.append(LEVEL)
-        yield from walk(x + 1, y)
-        steps.pop()
-        if y > 0 and not even:
-            steps.append((1, -1))
-            yield from walk(x + 1, y - 1)
-            steps.pop()
-
-    yield from walk(-r, r)
+    return ((-r, r), (x_end, s), _gm_moves,
+            lambda x, y: x_end - x - abs(y - s))
 
 
-def _gen_schroder(n, r, s):
-    # vertical drops are zero-width and never open a path
-    steps = []
-
-    def walk(x, y, at_start):
-        if x == n:
-            if y == s:
-                yield tuple(steps)
-                return
-            if y < s or at_start:
-                return
-            steps.append(VERTICAL)
-            yield from walk(x, y - 1, False)
-            steps.pop()
-            return
-        if s - y > n - x:
-            return
-        steps.append(UP)
-        yield from walk(x + 1, y + 1, False)
-        steps.pop()
-        steps.append(LEVEL)
-        yield from walk(x + 1, y, False)
-        steps.pop()
-        if y > 0 and not at_start:
-            steps.append(VERTICAL)
-            yield from walk(x, y - 1, False)
-            steps.pop()
-
-    yield from walk(0, r, True)
+def _gm_moves(x, y, first):
+    if (x + y) % 2 == 0:
+        return (UP, LEVEL)
+    return (LEVEL, (1, -1)) if y else (LEVEL,)
 
 
-def _gen_negative(n, r, s):
+def _gm_weight(vs, x, y, dx, dy):
+    if dy:
+        return vs.one() if dy == 1 else vs.rho(y - 1)
+    return vs.alpha(y) if (x + y) % 2 == 0 else -vs.alpha_bar(y - 1)
+
+
+def _schroder(n, r, s):
+    # vertical drops are zero-width and never open a path; at x = n only
+    # the drops down to height s remain
+    def moves(x, y, first):
+        drop = (VERTICAL,) if y and not first else ()
+        if x < n:
+            return (UP, LEVEL) + drop
+        return drop if y > s else ()
+    return (0, r), (n, s), moves, lambda x, y: n - x - (s - y)
+
+
+def _schroder_weight(vs, x, y, dx, dy):
+    if dy == 1:
+        return vs.one()
+    if (dx, dy) == LEVEL:
+        return -vs.alpha_bar(y - 1) * _inv_alpha_bar(vs, y)
+    return vs.alpha_bar(y - 2) * _inv_alpha_bar(vs, y - 1) * vs.rho(y - 1)
+
+
+def _negative(n, r, s):
     # mirror model: the lukasiewicz walks from height s to height r, run
     # leftward, so from (0, s) to (-n, r)
-    for steps in _gen_lukasiewicz(n, s, r):
-        yield tuple((-1, dy) for _, dy in steps)
+    return (0, s), (-n, r), _unit_width(-1, -n), lambda x, y: n + x - (r - y)
+
+
+def _neg_weight(vs, x, y, dx, dy):
+    if dy == 1:
+        return vs.rho(y)
+    return -vs.alpha_bar(y) * vs.alpha(y + dy - 1)
+
+
+# name -> (rule, weight).  rule(n, r, s) -> (start, end, moves, slack):
+# moves(x, y, first) lists the steps out of (x, y) in listing order, and
+# slack(x, y) < 0 marks a point that can no longer reach the end.
+# weight(vs, x, y, dx, dy) is that of the step (dx, dy) out of (x, y).
+_MODELS = {
+    "lukasiewicz": (_lukasiewicz, _luka_weight),
+    "gmotzkin": (_gmotzkin, _gm_weight),
+    "schroder": (_schroder, _schroder_weight),
+    "negative": (_negative, _neg_weight),
+}
+
+MODELS = tuple(_MODELS)
+
+
+def _model(name):
+    if name not in _MODELS:
+        raise ValueError("unknown path model %r" % (name,))
+    return _MODELS[name]
+
+
+def _walk(start, end, moves, slack):
+    # depth first; a path is yielded on reaching the end, whose own moves
+    # are then still tried
+    x_end, y_end = end
+    steps = []
+
+    def visit(x, y, first):
+        if x == x_end and y == y_end:
+            yield tuple(steps)
+        for step in moves(x, y, first):
+            nx, ny = x + step[0], y + step[1]
+            if slack(nx, ny) >= 0:
+                steps.append(step)
+                yield from visit(nx, ny, False)
+                steps.pop()
+
+    if slack(*start) >= 0:
+        yield from visit(*start, True)
 
 
 def enumerate_paths(model, n, r, s, cap=DEFAULT_CAP):
@@ -186,18 +205,9 @@ def enumerate_paths(model, n, r, s, cap=DEFAULT_CAP):
     gmotzkin runs (-r, r) -> (2n - s, s), negative runs (0, s) -> (-n, r).
     Raises EnumerationCapExceeded once more than `cap` paths exist.
     """
-    if model == "lukasiewicz":
-        start, gen = (0, r), _gen_lukasiewicz(n, r, s)
-    elif model == "gmotzkin":
-        start, gen = (-r, r), _gen_gmotzkin(n, r, s)
-    elif model == "schroder":
-        start, gen = (0, r), _gen_schroder(n, r, s)
-    elif model == "negative":
-        start, gen = (0, s), _gen_negative(n, r, s)
-    else:
-        raise ValueError("unknown path model %r" % (model,))
+    start, end, moves, slack = _model(model)[0](n, r, s)
     out = []
-    for steps in gen:
+    for steps in _walk(start, end, moves, slack):
         if len(out) >= cap:
             raise EnumerationCapExceeded(
                 "more than %d %s paths for (n=%d, r=%d, s=%d)" % (cap, model, n, r, s))
@@ -205,8 +215,16 @@ def enumerate_paths(model, n, r, s, cap=DEFAULT_CAP):
     return out
 
 
-# ---------------------------------------------------------------------------
-# step weights
+def path_weight(path, vs):
+    """Product of the model's step weights; the empty product is 1."""
+    weight = _model(path.model)[1]
+    w = vs.one()
+    x, y = path.start
+    for dx, dy in path.steps:
+        w = w * weight(vs, x, y, dx, dy)
+        x += dx
+        y += dy
+    return w
 
 
 def _inv_alpha_bar(vs, j):
@@ -214,46 +232,6 @@ def _inv_alpha_bar(vs, j):
     if not v:
         raise ZeroVerblunsky(j)
     return vs.one() / v
-
-
-def path_weight(path, vs):
-    """Product of the model's step weights; the empty product is 1."""
-    w = vs.one()
-    x, y = path.start
-    for dx, dy in path.steps:
-        w = w * _step_weight(path.model, vs, x, y, dx, dy)
-        x += dx
-        y += dy
-    return w
-
-
-def _step_weight(model, vs, x, y, dx, dy):
-    # (x, y) is where the step starts
-    if model == "lukasiewicz":
-        if dy == 1:
-            return vs.one()
-        k = -dy
-        return -vs.alpha(y) * vs.alpha_bar(y - k - 1) * vs.rho_product(y - k, y)
-    if model == "gmotzkin":
-        if dy == 1:
-            return vs.one()
-        if dy == -1:
-            return vs.rho(y - 1)
-        if (x + y) % 2 == 0:
-            return vs.alpha(y)
-        return -vs.alpha_bar(y - 1)
-    if model == "schroder":
-        if dy == 1:
-            return vs.one()
-        if (dx, dy) == LEVEL:
-            return -vs.alpha_bar(y - 1) * _inv_alpha_bar(vs, y)
-        return vs.alpha_bar(y - 2) * _inv_alpha_bar(vs, y - 1) * vs.rho(y - 1)
-    if model == "negative":
-        if dy == 1:
-            return vs.rho(y)
-        k = -dy
-        return -vs.alpha_bar(y) * vs.alpha(y - k - 1)
-    raise ValueError("unknown path model %r" % (model,))
 
 
 # ---------------------------------------------------------------------------
@@ -465,44 +443,32 @@ def gmotzkin_to_lukasiewicz(path):
     """Inverse of lukasiewicz_to_gmotzkin; rejects ill-formed step lists."""
     r = path.start[1]
     steps = []
-    seq = path.steps
-    i = 0
-    while i < len(seq):
-        dy = seq[i][1]
+    dys = iter(dy for _, dy in path.steps)
+    for dy in dys:
         if dy == 1:
             steps.append(UP)
-            i += 1
             continue
         if dy != 0:
             raise ValueError("fall outside a level-step block")
-        j = i + 1
-        k = 0
-        while j < len(seq) and seq[j][1] == -1:
-            k += 1
-            j += 1
-        if j == len(seq) or seq[j][1] != 0:
+        k, dy = 0, next(dys, None)
+        while dy == -1:
+            k, dy = k + 1, next(dys, None)
+        if dy != 0:
             raise ValueError("unterminated level-step block")
         steps.append((1, -k))
-        i = j + 1
     return LatticePath("lukasiewicz", (0, r), steps)
 
 
 def contract_schroder(path):
     """Merge every width step with its trailing drops into one unit-width step."""
     steps = []
-    seq = path.steps
-    i = 0
-    while i < len(seq):
-        dx, dy = seq[i]
-        if dx != 1:
+    for dx, dy in path.steps:
+        if dx == 1:
+            steps.append((1, dy))
+        elif (dx, dy) == VERTICAL and steps:
+            steps[-1] = (1, steps[-1][1] - 1)
+        else:
             raise ValueError("vertical drop with no preceding width step")
-        j = i + 1
-        v = 0
-        while j < len(seq) and seq[j] == VERTICAL:
-            v += 1
-            j += 1
-        steps.append((1, dy - v))
-        i = j
     return LatticePath("lukasiewicz", path.start, steps)
 
 

@@ -321,6 +321,16 @@ def test_paths_cap_exceeded_is_exit_three(capsys):
     assert "more than 4" in err
 
 
+def test_paths_refuses_a_negative_cap(capsys):
+    code, out, err = _run(capsys, "paths", "--model", "lukasiewicz",
+                          "-n", "3", "--cap", "-3")
+    assert (code, out, err) == (1, "", "error: --cap must be nonnegative, "
+                                       "got -3\n")
+    code, out, err = _run(capsys, "paths", "--model", "lukasiewicz",
+                          "-n", "3", "--cap", "0")
+    assert code == 3 and err.startswith("error: more than 0 lukasiewicz")
+
+
 def test_paths_json_format(capsys):
     code, out, err = _run(capsys, "paths", "--model", "lukasiewicz",
                           "-n", "3", "--format", "json")
@@ -428,6 +438,67 @@ def test_verify_text_format(capsys):
     assert code == 0
     assert "all passed" in out
     assert out.count("PASS") >= 2
+
+
+def _recording_suites(monkeypatch):
+    # every suite replaced by one that records (name, max) and checks
+    # nothing, so that no test here waits for a real suite
+    ran = []
+
+    def recorder(name):
+        return lambda checks, maxn, *rest: ran.append((name, maxn))
+
+    monkeypatch.setattr(cli, "_SUITE_TABLE", tuple(
+        (name, recorder(name), default, seeded)
+        for name, _, default, seeded in cli._SUITE_TABLE))
+    return ran
+
+
+def test_verify_refuses_a_negative_max_before_any_suite(capsys, monkeypatch):
+    ran = _recording_suites(monkeypatch)
+    for suite in cli.VERIFY_SUITES:
+        for mode in ("symbolic", "numeric"):
+            code, out, err = _run(capsys, "verify", "--suite", suite,
+                                  "--max", "-1", "--mode", mode)
+            assert (code, out, err) == (
+                1, "", "error: --max must be nonnegative, got -1\n")
+    assert ran == []
+    code, out, err = _run(capsys, "verify", "--max", "0")
+    assert code == 0
+    assert ran == [(name, 0) for name in cli.VERIFY_SUITES[:-1]]
+
+
+def test_symbolic_seeded_suites_stay_within_the_moment_guard(capsys,
+                                                             monkeypatch):
+    # a seeded suite reaches the generic moment (max, max, max)
+    ran = _recording_suites(monkeypatch)
+    limit = cli.GENERIC_MOMENT_LIMIT // 2
+    seeded = ("cross-model", "reciprocity", "determinants")
+    named = {"all": ", ".join(seeded)}
+    named.update((suite, suite) for suite in seeded)
+    for suite in named:
+        code, out, err = _run(capsys, "verify", "--suite", suite,
+                              "--max", str(limit + 1))
+        assert (code, out) == (1, "")
+        assert err == ("error: symbolic mode needs --max <= %d for %s, got "
+                       "%d; use --mode numeric for larger indices\n"
+                       % (limit, named[suite], limit + 1))
+    assert ran == []
+    # the limit itself, numeric mode, and the three fixed-data suites at
+    # any --max are admitted
+    code, out, err = _run(capsys, "verify", "--max", str(limit))
+    assert code == 0 and len(ran) == 6
+    del ran[:]
+    code, out, err = _run(capsys, "verify", "--max", str(limit + 1),
+                          "--mode", "numeric")
+    assert code == 0 and ran == [(name, limit + 1) for name in seeded]
+    del ran[:]
+    for suite in ("families", "linearization", "positivity"):
+        code, out, err = _run(capsys, "verify", "--suite", suite,
+                              "--max", "12")
+        assert code == 0
+    assert ran == [("families", 12), ("linearization", 12),
+                   ("positivity", 12)]
 
 
 def test_verify_details_list_the_failing_cells_in_order(capsys, monkeypatch):

@@ -43,8 +43,26 @@ def test_enumeration_cap_is_enforced():
     with pytest.raises(EnumerationCapExceeded):
         enumerate_paths("lukasiewicz", 3, 0, 0, cap=4)
     assert len(enumerate_paths("lukasiewicz", 3, 0, 0, cap=5)) == 5
-    with pytest.raises(ValueError):
+
+
+def test_an_unknown_model_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown path model 'nosuch'"):
         enumerate_paths("nosuch", 1, 0, 0)
+    with pytest.raises(ValueError, match="unknown path model 'nosuch'"):
+        path_weight(LatticePath("nosuch", (0, 0), (UP,)), generic_vs())
+
+
+def test_listings_are_in_increasing_order_of_their_falls():
+    # each listing is strictly increasing, so duplicate-free, in the
+    # lexicographic order of its paths' sequences of -dy
+    for model in ("lukasiewicz", "gmotzkin", "schroder", "negative"):
+        for n in range(7):
+            for r in range(5):
+                for s in range(5):
+                    keys = [tuple(-dy for _, dy in p.steps)
+                            for p in enumerate_paths(model, n, r, s)]
+                    assert all(a < b for a, b in zip(keys, keys[1:])), (
+                        model, n, r, s)
 
 
 def test_endpoints_per_model():
