@@ -2,22 +2,24 @@
 
 Two scalar representations flow through this library:
 
-* symbolic mode: ExactScalar, a sparse Laurent polynomial with
-  Gaussian-rational coefficients in the symbols a_j and ab_j (a_j
-  stands for alpha_j, ab_j for its complex conjugate; the bar is kept
-  as a flag so conjugation is a symbol swap plus coefficient
-  conjugation).  An optional extra generator t with t**2 equal to a
-  fixed positive rational supports families whose closed forms live in
-  a quadratic extension (square root of a rational parameter).
+* symbolic mode: a symbol-free value is a GaussianRational, an element
+  a + b*t of the field Q(i)(t) with a, b Gaussian rationals and t an
+  adjoined root, t**2 a fixed positive rational (square roots of a
+  family's rational parameter).  Once a symbol enters, the value is an
+  ExactScalar, a sparse Laurent polynomial over that field in the
+  symbols a_j and ab_j (a_j stands for alpha_j, ab_j for its complex
+  conjugate; the bar is kept as a flag so conjugation is a symbol swap
+  plus coefficient conjugation).
 * numeric mode: the builtin ``complex``, used directly so the dynamic
   programs run at native speed.
 
-Module helpers (conjugate, evaluate_numeric, render_scalar) accept both
-representations, which keeps the rest of the library mode-agnostic, and
-plain ``/`` divides exactly in symbolic mode.  A scalar of either kind
-is false exactly when it is zero, so a plain truth test is the zero test
+Module helpers (conjugate, evaluate_numeric, render_scalar) accept every
+representation, which keeps the rest of the library mode-agnostic, and
+plain ``/`` divides exactly in symbolic mode.  A scalar of any kind is
+false exactly when it is zero, so a plain truth test is the zero test
 in both modes.  Integers and Fractions coerce into either mode; floats
 and complexes are rejected by the symbolic side to preserve exactness.
+Equal exact values compare and hash alike, whatever their types.
 
 Convention: symbol index -1 encodes the boundary value alpha_{-1} = -1.
 Constructors eliminate it immediately, so stored symbols always have
@@ -25,16 +27,16 @@ index >= 0.
 
 Packed monomials: an ExactScalar stores each monomial as one Python int,
 the sum of e_f << 16*f over signed 16-bit exponent fields (Kronecker
-substitution).  Field 0 holds the exponent of t, field 1+2j that of a_j
-and field 2+2j that of ab_j.  A monomial product is then one int
-addition, and conjugation swaps neighbouring fields.  Every exponent
-must stay within +-EXPONENT_LIMIT (32767): each scalar carries a bound
-on its exponents (the sum of the factors' bounds for a product, their
-maximum for a sum), and a product whose bound would pass the limit
-raises OverflowError rather than let a field wrap.  Keys are decoded
-into (Symbol, exponent) pairs only for evaluation, beta_form and the
-like; the text form reads the fields directly and prints the terms in
-the order of those pairs, so it is unchanged by the packing.
+substitution): field 2j holds the exponent of a_j, field 2j+1 that of
+ab_j.  A monomial product is then one int addition, and conjugation
+swaps neighbouring fields.  Every exponent must stay within
++-EXPONENT_LIMIT (32767): each scalar carries a bound on its exponents
+(the sum of the factors' bounds for a product, their maximum for a sum),
+and a product whose bound would pass the limit raises OverflowError
+rather than let a field wrap.  Keys are decoded into (Symbol, exponent)
+pairs only for evaluation, beta_form and the like; the text form reads
+the fields directly and prints the terms in the order of those pairs, a
+coefficient's t part right after the rest.
 """
 
 import heapq
@@ -50,103 +52,231 @@ SYMBOLIC = "symbolic"
 NUMERIC = "numeric"
 
 
-class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
+# ---------------------------------------------------------------------------
+# text forms shared by the field, the ring and the z-polynomials
 
-    __slots__ = ("re", "im")
+def _gauss_text(re, im):
+    if not im:
+        return str(re)
+    imt = "i" if im == 1 else ("-i" if im == -1 else "%si" % im)
+    if not re:
+        return imt
+    return "(%s%s%s)" % (re, "+" if im > 0 else "", imt)
+
+
+def _term_text(body, cs):
+    """One term: the coefficient text cs times the factors in body."""
+    if body and cs in ("1", "-1"):
+        return cs[:-1] + body
+    return cs + "*" + body if body else cs
+
+
+def _join_terms(texts):
+    """Term texts joined by " + ", or by " - " before a negative term."""
+    return texts[0] + "".join(" - " + t[1:] if t[0] == "-" else " + " + t
+                              for t in texts[1:])
+
+
+def _power(x, n, one):
+    """x**n by repeated squaring; a negative n powers the inverse."""
+    if not isinstance(n, int):
+        raise TypeError("exponent must be an integer")
+    if n < 0:
+        x, n = x.inverse(), -n
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the coefficient field Q(i)(t)
+
+class GaussianRational:
+    """An element a + b*t of the exact coefficient field Q(i)(t).
+
+    a = re + im*i and b = tre + tim*i are Gaussian rationals whose parts
+    are ints or Fractions, and t is the adjoined root with t*t = q, a
+    positive rational.  q is None exactly when b = 0, so an element
+    without t meets any other, while two elements whose roots have
+    different squares refuse to meet (ValueError).  Ints and Fractions
+    mix in as the rationals they are.  Instances are immutable.
+    """
+
+    __slots__ = ("re", "im", "tre", "tim", "q")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        self.re = re if type(re) in (int, Fraction) else Fraction(re)
+        self.im = im if type(im) in (int, Fraction) else Fraction(im)
+        self.tre = self.tim = 0
+        self.q = None
 
-    def _parts(self, other):
-        if isinstance(other, GaussianRational):
-            return other.re, other.im
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other), Fraction(0)
-        return None
+    @staticmethod
+    def _quotient(c, d):
+        """c / d for exact coefficients, an int when ints divide evenly,
+        so integer rings stay integral."""
+        if type(c) is int and type(d) is int:
+            return c // d if not c % d else Fraction(c, d)
+        return c / d
+
+    def _root(self, other):
+        # the q of a value formed from self and other; other carries t
+        if self.q is None or self.q == other.q:
+            return other.q
+        raise ValueError("incompatible adjoined roots: t^2=%s vs t^2=%s"
+                         % (self.q, other.q))
 
     def __add__(self, other):
-        p = self._parts(other)
-        if p is None:
-            return NotImplemented
-        return GaussianRational(self.re + p[0], self.im + p[1])
+        if type(other) is not GaussianRational:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _field(other, 0)
+        if self.q is None is other.q and not (self.im or other.im):
+            a, c = self.re, other.re
+            return _field(a + c if a and c else a or c, 0)
+        q = self.q if other.q is None else self._root(other)
+        return _field(*[x + y if x and y else x or y for x, y in
+                        zip((self.re, self.im, self.tre, self.tim),
+                            (other.re, other.im, other.tre, other.tim))], q)
 
     __radd__ = __add__
 
+    def __neg__(self):
+        return _field(-self.re, -self.im, -self.tre, -self.tim, self.q)
+
     def __sub__(self, other):
-        p = self._parts(other)
-        if p is None:
-            return NotImplemented
-        return GaussianRational(self.re - p[0], self.im - p[1])
+        return self + -other
 
     def __rsub__(self, other):
-        p = self._parts(other)
-        if p is None:
-            return NotImplemented
-        return GaussianRational(p[0] - self.re, p[1] - self.im)
+        return -self + other
 
     def __mul__(self, other):
-        p = self._parts(other)
-        if p is None:
-            return NotImplemented
-        c, d = p
-        return GaussianRational(self.re * c - self.im * d,
-                                self.re * d + self.im * c)
+        if type(other) is not GaussianRational:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _field(other, 0)
+        if self.q is None is other.q and not (self.im or other.im):
+            return _field(self.re * other.re, 0)
+        # a sum of products of the nonzero parts, each on a unit 1, i, t
+        # or it: with bit 0 for i and bit 1 for t, units u and v multiply
+        # to unit u ^ v, times -1 if both hold i and q if both hold t
+        q = self.q if other.q is None else self._root(other)
+        out = [0, 0, 0, 0]
+        ys = [(v, y) for v, y in enumerate(
+            (other.re, other.im, other.tre, other.tim)) if y]
+        for u, x in enumerate((self.re, self.im, self.tre, self.tim)):
+            if x:
+                for v, y in ys:
+                    p = x * y
+                    if u & v & 2:
+                        p = p * q
+                    if u & v & 1:
+                        p = -p
+                    w = u ^ v
+                    out[w] = out[w] + p if out[w] else p
+        return _field(*out, q)
 
     __rmul__ = __mul__
 
+    def inverse(self):
+        """1 / self.  x = a - b*t (conj(a) when there is no t) makes
+        n = self * x free of t, and n times its conjugate is rational."""
+        if self.q is None and not self.im:
+            return _field(self._quotient(1, self.re), 0)
+        x = (self.conjugate() if self.q is None
+             else _field(self.re, self.im, -self.tre, -self.tim, self.q))
+        n = self * x
+        if n.im:
+            x, n = x * n.conjugate(), n * n.conjugate()
+        if not n:
+            raise ZeroDivisionError("%s has no inverse" % self)
+        return x * self._quotient(1, n.re)
+
     def __truediv__(self, other):
-        p = self._parts(other)
-        if p is None:
-            return NotImplemented
-        c, d = p
-        norm = c * c + d * d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational((self.re * c + self.im * d) / norm,
-                                (self.im * c - self.re * d) / norm)
+        if type(other) is not GaussianRational:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _field(other, 0)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        p = self._parts(other)
-        if p is None:
-            return NotImplemented
-        return GaussianRational(p[0], p[1]) / self
+        return self.inverse() * other
 
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+    def __pow__(self, n):
+        return _power(self, n, _ONE)
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        # t is real
+        return _field(self.re, -self.im, self.tre, -self.tim, self.q)
+
+    def _key(self):
+        return self.re, self.im, self.tre, self.tim, self.q
 
     def __eq__(self, other):
-        p = self._parts(other)
-        if p is None:
+        if isinstance(other, (int, Fraction)):
+            other = _field(other, 0)
+        elif type(other) is not GaussianRational:
             return NotImplemented
-        return self.re == p[0] and self.im == p[1]
+        return self._key() == other._key()
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # a rational element hashes as the int or Fraction it equals
+        return hash(self.re if self.q is None and not self.im
+                    else self._key())
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self.q is not None or bool(self.re or self.im)
+
+    @property
+    def is_zero(self):
+        return not self
 
     def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
+        v = complex(self.re) + 1j * complex(self.im)
+        if self.q is not None:
+            v += (complex(self.tre) + 1j * complex(self.tim)) \
+                * float(self.q) ** 0.5
+        return v
+
+    # an ExactScalar's queries, answered for the constant this stands for
+
+    def symbol_indices(self):
+        return []
+
+    def evaluate(self, assignment):
+        return complex(self)
+
+    def _rows(self):
+        """(t exponent, text) of the nonzero parts a and b, a first."""
+        return [(te, _gauss_text(re, im)) for te, re, im in
+                ((0, self.re, self.im), (1, self.tre, self.tim)) if re or im]
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        im = "i" if self.im == 1 else ("-i" if self.im == -1
-                                       else "%si" % self.im)
-        if self.re == 0:
-            return im
-        sign = "+" if self.im > 0 else ""
-        return "(%s%s%s)" % (self.re, sign, im)
+        if self.q is None:
+            return _gauss_text(self.re, self.im)
+        return _join_terms([_term_text("t" if te else "", cs)
+                            for te, cs in self._rows()])
 
     __repr__ = __str__
+
+
+def _field(re, im, tre=0, tim=0, q=None):
+    out = object.__new__(GaussianRational)
+    out.re, out.im, out.tre, out.tim = re, im, tre, tim
+    out.q = q if tre or tim else None
+    return out
+
+
+def _has_t(c):
+    return type(c) is GaussianRational and c.q is not None
+
+
+_ZERO = GaussianRational(0)
+_ONE = GaussianRational(1)
 
 
 class Symbol(NamedTuple):
@@ -184,25 +314,20 @@ def _decode(key):
     return [(f, d - _HALF) for f, d in enumerate(fields) if d != _HALF]
 
 
-def pack_monomial(m, te=0):
-    """Packed key of a monomial ((Symbol, exponent), ...) times t**te."""
-    key = te
+def pack_monomial(m):
+    """Packed key of a monomial ((Symbol, exponent), ...)."""
+    key = 0
     for s, e in m:
         if not -EXPONENT_LIMIT <= e <= EXPONENT_LIMIT:
             raise OverflowError("exponent %d of %s exceeds %d"
                                 % (e, s, EXPONENT_LIMIT))
-        key += e << (_BITS * (1 + 2 * s.index + s.barred))
+        key += e << (_BITS * (2 * s.index + s.barred))
     return key
 
 
 def unpack_monomial(key):
-    """(((Symbol, exponent), ...), t exponent) of a packed key."""
-    pairs = _decode(key)
-    te = 0
-    if pairs and pairs[0][0] == 0:
-        te = pairs[0][1]
-        pairs = pairs[1:]
-    return tuple((Symbol((f - 1) >> 1, not f & 1), e) for f, e in pairs), te
+    """((Symbol, exponent), ...) of a packed key."""
+    return tuple((Symbol(f >> 1, bool(f & 1)), e) for f, e in _decode(key))
 
 
 class _Chunk(dict):
@@ -224,11 +349,11 @@ class _Chunk(dict):
         keys, names = [], []
         for j in range(4):
             f, d = 4 * self.i + j, chunk >> (_BITS * j) & _MASK
-            if d == _HALF or not f:
+            if d == _HALF:
                 continue
             e = d - _HALF
             keys.append((f << _BITS | d).to_bytes(8, "big"))
-            names.append(("a%d" if f & 1 else "ab%d") % ((f - 1) >> 1)
+            names.append(("ab%d" if f & 1 else "a%d") % (f >> 1)
                          + ("" if e == 1 else "^%d" % e))
         out = self[chunk] = (b"".join(keys), "*".join(names))
         return out
@@ -241,69 +366,18 @@ _CHUNKS_KEPT = 4096
 
 
 def _swap_bars(key):
-    """The key with a_j and ab_j exchanged (fields 1+2j and 2+2j)."""
-    if -_HALF < key < _HALF:  # a power of t alone
-        return key
-    return sum(e << (_BITS * (f + 1 if f & 1 else f - 1)) if f else e
-               for f, e in _decode(key))
+    """The key with a_j and ab_j exchanged (fields 2j and 2j+1)."""
+    return sum(e << (_BITS * (f ^ 1)) for f, e in _decode(key))
 
 
 def _bound(keys):
-    """The largest |exponent| of a symbol (t excluded) over packed keys."""
-    return max((abs(e) for k in keys for f, e in _decode(k) if f), default=0)
+    """The largest |exponent| over packed keys."""
+    return max((abs(e) for k in keys for _, e in _decode(k)), default=0)
 
 
-# ---------------------------------------------------------------------------
-# coefficient helpers: coefficients are int, Fraction, or GaussianRational,
-# always kept in the simplest of the three so the common all-integer
-# dynamic programs never touch Fraction arithmetic.
-
-def _cnorm(c):
-    if isinstance(c, GaussianRational):
-        if c.im != 0:
-            return c
-        c = c.re
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
-
-
-def _cadd(x, y):
-    if type(x) is int and type(y) is int:
-        return x + y
-    return _cnorm(x + y)
-
-
-def _cmul(x, y):
-    if type(x) is int and type(y) is int:
-        return x * y
-    return _cnorm(x * y)
-
-
-def _cdiv(x, y):
-    if isinstance(x, GaussianRational) or isinstance(y, GaussianRational):
-        gx = x if isinstance(x, GaussianRational) else GaussianRational(x)
-        return _cnorm(gx / y)
-    return _cnorm(Fraction(x) / y)
-
-
-def _cconj(x):
-    return x.conjugate() if isinstance(x, GaussianRational) else x
-
-
-def _join_tsq(a, b):
-    if a is None:
-        return b
-    if b is None or a == b:
-        return a
-    raise ValueError("incompatible adjoined roots: t^2=%s vs t^2=%s" % (a, b))
-
-
-def _scalar(terms, tsq, bound):
+def _scalar(terms, bound):
     out = ExactScalar.__new__(ExactScalar)
-    out.terms = terms
-    out.tsq = tsq
-    out.bound = bound
+    out.terms, out.bound = terms, bound
     return out
 
 
@@ -311,38 +385,20 @@ class ExactScalar:
     """Sparse Laurent polynomial in the Verblunsky symbols.
 
     terms maps a packed monomial key (see pack_monomial) to a nonzero
-    coefficient.  Exponents may be negative (several step weights and
-    linearization formulas divide by alpha-bars).  When tsq is set, the
-    generator t obeys t**2 = tsq and stored t exponents are reduced to 0
-    or 1.  bound is at least the largest |exponent| of any symbol; a
-    product whose bound would pass EXPONENT_LIMIT raises OverflowError
-    instead of letting a field wrap.  Instances are immutable: every
-    operation builds a new one.
+    coefficient: an int, a Fraction or a GaussianRational, so the
+    all-integer rings of the generic symbols stay in int arithmetic.
+    Exponents may be negative (several step weights and linearization
+    formulas divide by alpha-bars).  bound is at least the largest
+    |exponent| of any symbol; a product whose bound would pass
+    EXPONENT_LIMIT raises OverflowError instead of letting a field wrap.
+    Instances are immutable: every operation builds a new one.
     """
 
-    __slots__ = ("terms", "tsq", "bound")
+    __slots__ = ("terms", "bound")
 
-    def __init__(self, terms=None, tsq=None):
-        if tsq is not None and not isinstance(tsq, Fraction):
-            tsq = Fraction(tsq)
-        clean = {}
-        for key, c in (terms or {}).items():
-            c = _cnorm(c)
-            if c == 0:
-                continue
-            te = ((key + _HALF) & _MASK) - _HALF
-            if te and tsq is None:
-                raise ValueError("t exponent present without t^2 value")
-            if te not in (0, 1):
-                qp, te = divmod(te, 2)
-                key -= 2 * qp
-                c = _cmul(c, tsq ** qp)
-            c = _cadd(clean.pop(key, 0), c)
-            if c != 0:
-                clean[key] = c
-        self.terms = clean
-        self.tsq = tsq
-        self.bound = _bound(clean)
+    def __init__(self, terms=None):
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
+        self.bound = _bound(self.terms)
 
     # -- coercion ----------------------------------------------------------
 
@@ -350,10 +406,12 @@ class ExactScalar:
     def _coerce(x):
         if isinstance(x, ExactScalar):
             return x
-        if isinstance(x, (int, Fraction, GaussianRational)):
-            x = _cnorm(x)
-            return _scalar({0: x} if x != 0 else {}, None, 0)
-        return None
+        if type(x) is GaussianRational:
+            if x.q is None and not x.im:
+                x = x.re  # a rational stays an int or a Fraction
+        elif not isinstance(x, (int, Fraction)):
+            return None
+        return _scalar({0: x} if x else {}, 0)
 
     @property
     def is_zero(self):
@@ -364,11 +422,7 @@ class ExactScalar:
 
     def constant_value(self):
         """The coefficient of the empty monomial, or None if non-constant."""
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1 and 0 in self.terms:
-            return self.terms[0]
-        return None
+        return self.terms.get(0, 0) if self.terms.keys() <= {0} else None
 
     # -- arithmetic --------------------------------------------------------
 
@@ -377,9 +431,6 @@ class ExactScalar:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        tsq = self.tsq
-        if other.tsq is not tsq:
-            tsq = _join_tsq(tsq, other.tsq)
         big, small = self.terms, other.terms
         if len(big) < len(small):
             big, small = small, big
@@ -389,40 +440,29 @@ class ExactScalar:
             if old is None:
                 terms[k] = c
                 continue
-            c = old + c if type(old) is int and type(c) is int \
-                else _cadd(old, c)
+            c = old + c
             if c:
                 terms[k] = c
             else:
                 del terms[k]
-        return _scalar(terms, tsq, max(self.bound, other.bound))
+        return _scalar(terms, max(self.bound, other.bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _scalar({k: -c for k, c in self.terms.items()}, self.tsq,
-                       self.bound)
+        return _scalar({k: -c for k, c in self.terms.items()}, self.bound)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
         if not isinstance(other, ExactScalar):
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        tsq = self.tsq
-        if other.tsq is not tsq:
-            tsq = _join_tsq(tsq, other.tsq)
         bound = self.bound + other.bound
         if bound > EXPONENT_LIMIT:
             raise OverflowError("a product's exponents may exceed %d"
@@ -437,34 +477,24 @@ class ExactScalar:
             if c0 == 1:
                 terms = {k + k0: c for k, c in big.items()}
             else:
-                terms = {k + k0: _cmul(c, c0) for k, c in big.items()}
+                terms = {k + k0: c * c0 for k, c in big.items()}
         else:
             terms = {}
             get = terms.get
             for k1, c1 in small.items():
                 for k2, c2 in big.items():
                     k = k1 + k2
-                    c = c1 * c2 if type(c1) is int and type(c2) is int \
-                        else _cmul(c1, c2)
+                    c = c1 * c2
                     old = get(k)
                     if old is None:
                         terms[k] = c
                         continue
-                    c = old + c if type(old) is int and type(c) is int \
-                        else _cadd(old, c)
+                    c = old + c
                     if c:
                         terms[k] = c
                     else:
                         del terms[k]
-        if tsq is not None:
-            # t*t = tsq: fold every t^2 term onto its t^0 key
-            for k in [k for k in terms if k & _MASK == 2]:
-                c = _cadd(terms.get(k - 2, 0), _cmul(terms.pop(k), tsq))
-                if c:
-                    terms[k - 2] = c
-                else:
-                    terms.pop(k - 2, None)
-        return _scalar(terms, tsq, bound)
+        return _scalar(terms, bound)
 
     __rmul__ = __mul__
 
@@ -474,21 +504,10 @@ class ExactScalar:
             raise ExactDivisionError(
                 "only single-term symbolic scalars are invertible")
         (k, c), = self.terms.items()
-        return ExactScalar({-k: _cdiv(1, c)}, self.tsq)
+        return _scalar({-k: GaussianRational._quotient(1, c)}, self.bound)
 
     def __pow__(self, n):
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = ExactScalar({0: 1}, self.tsq)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, _scalar({0: 1}, 0))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -507,8 +526,8 @@ class ExactScalar:
         return other / self
 
     def conjugate(self):
-        return _scalar({_swap_bars(k): _cconj(c)
-                        for k, c in self.terms.items()}, self.tsq, self.bound)
+        return _scalar({_swap_bars(k): c.conjugate()
+                        for k, c in self.terms.items()}, self.bound)
 
     # -- queries -----------------------------------------------------------
 
@@ -519,20 +538,19 @@ class ExactScalar:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant hashes as the coefficient it equals
+        c = self.constant_value()
+        return hash(frozenset(self.terms.items()) if c is None else c)
 
     def symbol_indices(self):
-        return sorted({(f - 1) >> 1 for k in self.terms
-                       for f, _ in _decode(k) if f})
+        return sorted({f >> 1 for k in self.terms for f, _ in _decode(k)})
 
     def evaluate(self, assignment):
         """Numeric value with alpha_j = assignment[j] (ab_j its conjugate)."""
         total = 0j
-        tval = None
         for k, c in self.terms.items():
-            m, te = unpack_monomial(k)
             v = complex(c)
-            for s, e in m:
+            for s, e in unpack_monomial(k):
                 if s.index not in assignment:
                     raise KeyError(
                         "no numeric value assigned for index %d" % s.index)
@@ -540,10 +558,6 @@ class ExactScalar:
                 if s.barred:
                     a = a.conjugate()
                 v *= a ** e
-            if te:
-                if tval is None:
-                    tval = float(self.tsq) ** 0.5
-                v *= tval ** te
             total += v
         return total
 
@@ -551,7 +565,7 @@ class ExactScalar:
         if not self.terms:
             return "0"
         # one to_bytes splits a biased key into 64-bit chunks of four
-        # fields each; the t exponent is field 0 and sorts last
+        # fields each
         nq = (max(map(abs, self.terms)).bit_length() >> 6) + 1
         bias = ((1 << (64 * nq)) - 1) // _MASK * _HALF
         size, order = 8 * nq, sys.byteorder
@@ -559,33 +573,23 @@ class ExactScalar:
             _CHUNKS.clear()
         while len(_CHUNKS) < nq:
             _CHUNKS.append(_Chunk(len(_CHUNKS)))
-        has_t = self.tsq is not None
         rows = []
         for k, c in self.terms.items():
             q = array("Q", (k + bias).to_bytes(size, order))
             frags = list(map(_Chunk.__getitem__, _CHUNKS, q))
-            te = (q[0] & _MASK) - _HALF if has_t else 0
-            rows.append((b"".join(map(_first, frags)), te, frags, c))
+            key = b"".join(map(_first, frags))
+            if _has_t(c):
+                rows += [(key, te, frags, cs) for te, cs in c._rows()]
+            else:
+                rows.append((key, 0, frags, str(c)))
         rows.sort()
-        parts = []
-        for _, te, frags, c in rows:
+        texts = []
+        for _, te, frags, cs in rows:
             body = "*".join(filter(None, map(_second, frags)))
             if te:
-                body += ("*" if body else "") + ("t" if te == 1
-                                                 else "t^%d" % te)
-            cs = str(c)
-            if not body:
-                text = cs
-            elif cs == "1":
-                text = body
-            elif cs == "-1":
-                text = "-" + body
-            else:
-                text = cs + "*" + body
-            parts.append(" - " + text[1:] if text[0] == "-"
-                         else " + " + text)
-        out = "".join(parts)[3:]
-        return "-" + out if parts[0][1] == "-" else out
+                body += "*t" if body else "t"
+            texts.append(_term_text(body, cs))
+        return _join_terms(texts)
 
     __repr__ = __str__
 
@@ -619,14 +623,9 @@ def _exact_divide(f, g):
     long division by the single divisor g runs in graded order (total
     degree, then the packed key); a heap yields each remainder's leading
     term.  For divisible inputs every intermediate remainder is a
-    multiple of g, so the leading-term division never fails.  Multi-term
-    divisors containing the adjoined root t are not supported (never
-    needed).
+    multiple of g, so the leading-term division never fails.  The
+    coefficients divide in the field, the adjoined root included.
     """
-    if any(k & _MASK for k in f.terms) or any(k & _MASK for k in g.terms):
-        raise ExactDivisionError(
-            "division by multi-term scalars with the adjoined root")
-    tsq = _join_tsq(f.tsq, g.tsq)
     fv, shift_f = _lift(f.terms)
     gv, shift_g = _lift(g.terms)
     glead = max(gv, key=lambda k: (gv[k][0], k))
@@ -647,24 +646,40 @@ def _exact_divide(f, g):
         diff = lead - glead
         if any(e < 0 for _, e in _decode(diff)):
             raise ExactDivisionError("nonzero remainder in symbolic division")
-        qc = _cdiv(c, gc)
+        qc = GaussianRational._quotient(c, gc)
         quot[diff + shift_f - shift_g] = qc
         for dk, dd, tc in tail:
             kk = lead + dk
-            sub = -_cmul(qc, tc)
+            sub = -(qc * tc)
             old = rem.get(kk)
             if old is None:
                 rem[kk] = sub
                 heapq.heappush(heap, (negdeg - dd, -kk))
                 continue
-            acc = _cadd(old, sub)
+            acc = old + sub
             if acc:
                 rem[kk] = acc
             else:
                 del rem[kk]
     # the Newton polytope of f is that of q plus that of g, so every
     # exponent of q lies within f.bound + g.bound
-    return _scalar(quot, tsq, f.bound + g.bound)
+    return _scalar(quot, f.bound + g.bound)
+
+
+def exact_sum(values):
+    """The sum of exact values, the ExactScalars merged into one term
+    table at once: adding one at a time re-merges the growing total."""
+    terms, bound, rest = {}, 0, _ZERO
+    for x in values:
+        if not isinstance(x, ExactScalar):
+            rest = rest + x
+            continue
+        bound = max(bound, x.bound)
+        for k, c in x.terms.items():
+            old = terms.get(k)
+            terms[k] = c if old is None else old + c
+    return rest + _scalar({k: c for k, c in terms.items() if c}, bound) \
+        if terms else rest
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +691,7 @@ def sym(j, barred=False):
         return gauss(-1)
     if j < -1:
         raise ValueError("symbol index must be >= -1, got %d" % j)
-    return ExactScalar({pack_monomial(((Symbol(j, barred), 1),)): 1})
+    return _scalar({pack_monomial(((Symbol(j, barred), 1),)): 1}, 1)
 
 
 def alpha(j):
@@ -688,8 +703,8 @@ def alpha_bar(j):
 
 
 def gauss(re, im=0):
-    """A constant symbolic scalar with exact rational parts."""
-    return ExactScalar({0: GaussianRational(re, im)})
+    """The symbol-free exact constant re + im*i."""
+    return GaussianRational(re, im)
 
 
 def t_root(q):
@@ -697,11 +712,7 @@ def t_root(q):
     q = Fraction(q)
     if q <= 0:
         raise ValueError("t^2 must be a positive rational, got %s" % q)
-    return ExactScalar({1: 1}, tsq=q)
-
-
-SYM_ZERO = ExactScalar()
-SYM_ONE = ExactScalar({0: 1})
+    return _field(0, 0, 1, 0, q)
 
 
 # ---------------------------------------------------------------------------
@@ -709,30 +720,27 @@ SYM_ONE = ExactScalar({0: 1})
 
 def conjugate(x):
     """Complex conjugate for either scalar representation."""
-    if isinstance(x, (ExactScalar, complex)):
+    if isinstance(x, (ExactScalar, GaussianRational, complex, int, float,
+                      Fraction)):
         return x.conjugate()
-    if isinstance(x, GaussianRational):
-        return x.conjugate()
-    if isinstance(x, (int, float, Fraction)):
-        return x
     raise TypeError("cannot conjugate %r" % type(x))
 
 
 def zero_of(mode):
-    return SYM_ZERO if mode == SYMBOLIC else 0j
+    return _ZERO if mode == SYMBOLIC else 0j
 
 
 def one_of(mode):
-    return SYM_ONE if mode == SYMBOLIC else complex(1)
+    return _ONE if mode == SYMBOLIC else complex(1)
 
 
 def as_mode_scalar(x, mode):
     """Coerce an exact constant (int/Fraction/GaussianRational) to a mode."""
     if mode == SYMBOLIC:
-        if isinstance(x, ExactScalar):
+        if isinstance(x, (ExactScalar, GaussianRational)):
             return x
-        if isinstance(x, (int, Fraction, GaussianRational)):
-            return ExactScalar({0: x})
+        if isinstance(x, (int, Fraction)):
+            return GaussianRational(x)
         raise TypeError("cannot use %r in symbolic mode" % type(x))
     if isinstance(x, ExactScalar):
         c = x.constant_value()
@@ -750,20 +758,32 @@ def evaluate_numeric(x, assignment):
 
 
 def values_close(a, b, tol=1e-9):
-    """Exact equality for symbolic scalars, relative closeness otherwise."""
-    if isinstance(a, ExactScalar) or isinstance(b, ExactScalar):
+    """Exact equality for exact values, relative closeness between a float
+    or complex number and a symbol-free value."""
+    if (isinstance(a, ExactScalar) or isinstance(b, ExactScalar)
+            or not isinstance(a, (float, complex))
+            and not isinstance(b, (float, complex))):
         return a == b
+    a, b = complex(a), complex(b)
     return abs(a - b) <= tol * (1 + abs(b))
 
 
 def render_scalar(x):
     """Canonical text form used by the CLI and golden tests."""
-    if isinstance(x, ExactScalar):
+    if isinstance(x, (ExactScalar, GaussianRational)):
         return str(x)
     x = complex(x)
     if x.imag == 0:
         return repr(x.real)
     return repr(x)
+
+
+def _polynomial_terms(x, what):
+    # the terms of an exact value, a field element read as a constant
+    out = ExactScalar._coerce(x)
+    if out is None:
+        raise TypeError("%s needs a symbolic scalar" % what)
+    return out.terms
 
 
 def beta_form(x):
@@ -774,31 +794,18 @@ def beta_form(x):
     with kind "a" or "b".  Requires a genuine polynomial: nonnegative
     exponents and no adjoined root.
     """
-    if not isinstance(x, ExactScalar):
-        raise TypeError("beta_form needs a symbolic scalar")
     out = {}
-    for k, c in x.terms.items():
-        m, te = unpack_monomial(k)
-        if te:
+    for k, c in _polynomial_terms(x, "beta_form").items():
+        if _has_t(c):
             raise ValueError("adjoined root present; not a polynomial "
                              "in the Verblunsky symbols")
-        bar_degree = 0
-        key = []
-        for s, e in m:
-            if e < 0:
-                raise ValueError("negative exponent; not a polynomial")
-            if s.barred:
-                bar_degree += e
-                key.append(((s.index, "b"), e))
-            else:
-                key.append(((s.index, "a"), e))
-        key = tuple(sorted(key))
-        coeff = c if bar_degree % 2 == 0 else -c
-        acc = _cadd(out.get(key, 0), coeff)
-        if acc == 0:
-            out.pop(key, None)
-        else:
-            out[key] = acc
+        # a_j sorts before ab_j, as (j, "a") before (j, "b"), and distinct
+        # monomials stay distinct, so nothing is merged
+        m = unpack_monomial(k)
+        if any(e < 0 for _, e in m):
+            raise ValueError("negative exponent; not a polynomial")
+        key = tuple(((s.index, "b" if s.barred else "a"), e) for s, e in m)
+        out[key] = -c if sum(e for s, e in m if s.barred) % 2 else c
     return out
 
 
@@ -812,15 +819,8 @@ def render_beta_monomial(key):
 
 def is_polynomial(x):
     """True when a symbolic scalar has no negative exponents and no t."""
-    if not isinstance(x, ExactScalar):
-        raise TypeError("is_polynomial needs a symbolic scalar")
-    for k in x.terms:
-        m, te = unpack_monomial(k)
-        if te:
-            return False
-        if any(e < 0 for _, e in m):
-            return False
-    return True
+    return not any(_has_t(c) or any(e < 0 for _, e in _decode(k))
+                   for k, c in _polynomial_terms(x, "is_polynomial").items())
 
 
 # ---------------------------------------------------------------------------
@@ -941,10 +941,7 @@ class LaurentPoly:
             else:
                 zp = "z" if k == 1 else "z^%d" % k
                 parts.append(zp if c == "1" else "%s*%s" % (c, zp))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return _join_terms(parts)
 
     __repr__ = __str__
 

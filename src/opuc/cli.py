@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 
 from .algebra import (GaussianRational, NUMERIC, SYMBOLIC, beta_form,
-                      conjugate, is_polynomial, render_scalar, values_close)
+                      conjugate, exact_sum, is_polynomial, values_close)
 from .core import VerblunskySequence, moment_oracle, phi
 from .errors import (EnumerationCapExceeded, PositivityViolation,
                      UnsupportedFamily, ZeroVerblunsky)
@@ -211,9 +211,7 @@ def _render(value):
         return "%.12g%+.12gi" % (value.real, value.imag)
     if isinstance(value, float):
         return "%.12g" % value
-    if isinstance(value, (int, Fraction, GaussianRational)):
-        return str(value)
-    return render_scalar(value)
+    return str(value)  # an exact value
 
 
 # the CSV columns of `moment` and `paths`
@@ -341,13 +339,13 @@ def cmd_paths(args):
         raise CliError("--cap must be nonnegative, got %d" % args.cap)
     start = time.perf_counter()
     listing = enumerate_paths(args.model, n, r, s, cap=args.cap)
-    total = vs.zero()
-    rows = []
-    for idx, path in enumerate(listing):
-        w = path_weight(path, vs)
-        total = total + w
-        rows.append({"kind": "path", "index": idx, "steps": path.render(),
-                     "weight": _render(w)})
+    weights = [path_weight(path, vs) for path in listing]
+    # float sums keep the listing order, which fixes their bits
+    total = (exact_sum(weights) if mode == SYMBOLIC
+             else sum(weights, vs.zero()))
+    rows = [{"kind": "path", "index": idx, "steps": path.render(),
+             "weight": _render(w)}
+            for idx, (path, w) in enumerate(zip(listing, weights))]
     elapsed = (time.perf_counter() - start) * 1000.0
     total_weight = _render(total)
     lines = ["%3d  %-24s %s" % (row["index"], row["steps"], row["weight"])
@@ -379,6 +377,8 @@ def cmd_family(args):
                [("family", "parameter")]
                + [(tag, FAMILY_PARAMS[tag]) for tag in tags])
         return EXIT_OK
+    if args.count < 0:
+        raise CliError("--count must be nonnegative, got %d" % args.count)
     spec = _family_spec(args.name, args.param, args.mode)
     vs = verblunsky_of(spec, args.mode)
     mode = vs.mode

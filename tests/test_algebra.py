@@ -57,6 +57,111 @@ def test_gaussian_rendering():
 
 
 # ---------------------------------------------------------------------------
+# the coefficient field Q(i)(t)
+
+
+def test_division_by_an_element_with_the_root_is_exact():
+    t = t_root(2)
+    assert (1 + t) * (1 - t) / (1 + t) == 1 - t
+    assert 1 / (1 + t) == t - 1
+    assert (alpha(0) + t) * (alpha(1) - t) / (alpha(0) + t) == alpha(1) - t
+    with pytest.raises(ExactDivisionError):
+        (t + alpha(0)) / (t + alpha(1))
+
+
+def test_a_zero_divisor_of_a_square_root_has_no_inverse():
+    # t*t = 1/4 makes t = 1/2, so 1 - 2t is zero in value
+    t = t_root(Fraction(1, 4))
+    with pytest.raises(ZeroDivisionError):
+        1 / (1 - 2 * t)
+
+
+def test_symbol_free_values_are_field_elements():
+    t = t_root(Fraction(1, 3))
+    for x in (gauss(2), gauss(0, 1), t, t * t, 1 + t, sym(-1),
+              algebra.one_of(SYMBOLIC), algebra.zero_of(SYMBOLIC),
+              algebra.as_mode_scalar(Fraction(1, 2), SYMBOLIC)):
+        assert type(x) is GaussianRational
+    assert type(alpha(0) * t) is ExactScalar
+
+
+def test_equal_exact_values_hash_alike():
+    t = t_root(2)
+    groups = [
+        [2, Fraction(2), gauss(2), alpha(0) - alpha(0) + 2, t * t,
+         ExactScalar({0: Fraction(4, 2)})],
+        [Fraction(1, 3), gauss(Fraction(1, 3)), alpha(1) / alpha(1) / 3],
+        [gauss(1, -2), alpha(0) + gauss(1, -2) - alpha(0)],
+        [0, Fraction(0), gauss(0), ExactScalar(), alpha(2) - alpha(2)],
+        [1 + t, t + 1, alpha(0) + t + 1 - alpha(0)],
+    ]
+    for group in groups:
+        assert len(set(group)) == 1
+        table = {group[0]: "found"}
+        assert all(table[x] == "found" for x in group)
+        assert all(x == y and hash(x) == hash(y)
+                   for x in group for y in group)
+    assert len({x for group in groups for x in group}) == len(groups)
+
+
+def test_helpers_read_a_field_element_as_its_constant():
+    t = t_root(Fraction(1, 4))
+    z = gauss(Fraction(1, 2), -1)
+    assert values_close(GaussianRational(1, 1), GaussianRational(1, 1))
+    assert not values_close(GaussianRational(1, 1), GaussianRational(1))
+    assert values_close(z, ExactScalar({0: z}))
+    assert values_close(gauss(2), 2.0 + 1e-12j)
+    assert values_close(2, Fraction(4, 2)) and not values_close(2, 3)
+    assert beta_form(gauss(3)) == {(): 3}
+    assert beta_form(gauss(0)) == {}
+    with pytest.raises(ValueError):
+        beta_form(1 + t)
+    assert is_polynomial(z) and not is_polynomial(1 + t)
+    assert evaluate_numeric(1 + t, {}) == pytest.approx(1.5)
+    assert evaluate_numeric(z, {0: 0.3}) == complex(0.5, -1)
+    assert render_scalar(z) == str(ExactScalar({0: z})) == "(1/2-i)"
+    assert render_scalar(3 * t - 1) == "-1 + 3*t"
+    assert render_scalar(gauss(0)) == "0"
+    assert conjugate(z * t) == gauss(Fraction(1, 2), 1) * t
+
+
+def _field_elements(root):
+    part = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    unit = st.sampled_from([1, gauss(0, 1), root, gauss(0, 1) * root])
+    return st.lists(st.tuples(part, unit), max_size=4).map(
+        lambda pairs: sum((c * u for c, u in pairs), gauss(0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_field_elements(t_root(Fraction(2, 3))),
+       _field_elements(t_root(Fraction(2, 3))),
+       _field_elements(t_root(Fraction(2, 3))))
+def test_field_axioms(x, y, z):
+    assert (x + y) + z == x + (y + z) and x + y == y + x
+    assert (x * y) * z == x * (y * z) and x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x - x == 0 and x * 1 == x and x + 0 == x
+    assert conjugate(x * y) == conjugate(x) * conjugate(y)
+    assert abs(complex(x * y) - complex(x) * complex(y)) < 1e-9
+    if y:
+        assert (x * y) / y == x and y * (1 / y) == 1
+
+
+def test_exact_sum_equals_the_running_sum():
+    t = t_root(3)
+    for values in ([alpha(0), 2 * alpha_bar(1), -alpha(0), gauss(0, 1), 3],
+                   [alpha(0), -alpha(0)],
+                   [t, gauss(2), Fraction(1, 2), -t],
+                   []):
+        running = gauss(0)
+        for x in values:
+            running = running + x
+        total = algebra.exact_sum(values)
+        assert total == running and str(total) == str(running)
+        assert type(total) is type(running)
+
+
+# ---------------------------------------------------------------------------
 # symbolic scalars
 
 
@@ -112,7 +217,7 @@ def test_power_and_constant_queries():
     x = alpha(0) + 1
     assert x ** 0 == 1
     assert x ** 3 == x * x * x
-    assert gauss(7).constant_value() == GaussianRational(7)
+    assert (alpha(0) + 7 - alpha(0)).constant_value() == 7
     assert (alpha(0) * 0).is_zero
     assert ExactScalar().constant_value() == 0
     assert alpha(0).constant_value() is None
@@ -181,11 +286,11 @@ _monomials = st.dictionaries(
 
 
 @settings(max_examples=80, deadline=None)
-@given(_monomials, st.integers(-3, 3))
+@given(_monomials)
 @example(((Symbol(0, True), -2), (Symbol(500, False), 7),
-          (Symbol(731, True), -EXPONENT_LIMIT)), 1)
-def test_packed_monomials_round_trip(m, te):
-    assert unpack_monomial(pack_monomial(m, te)) == (m, te)
+          (Symbol(731, True), -EXPONENT_LIMIT)))
+def test_packed_monomials_round_trip(m):
+    assert unpack_monomial(pack_monomial(m)) == m
 
 
 def test_packed_keys_add_exponents_across_fields():
@@ -193,8 +298,8 @@ def test_packed_keys_add_exponents_across_fields():
     m2 = ((Symbol(0, False), -3), (Symbol(2, True), 1),
           (Symbol(500, True), -1))
     key = pack_monomial(m1) + pack_monomial(m2)
-    assert unpack_monomial(key) == (((Symbol(2, True), 1),
-                                     (Symbol(500, True), -5)), 0)
+    assert unpack_monomial(key) == ((Symbol(2, True), 1),
+                                    (Symbol(500, True), -5))
     x = alpha(500) ** 3 * alpha_bar(0) ** -2
     assert str(x) == "ab0^-2*a500^3"
     assert x.symbol_indices() == [0, 500]
@@ -210,7 +315,7 @@ def test_exponent_overflow_raises_instead_of_wrapping():
                  lambda: (alpha(0) ** 20000 + alpha(1)) / alpha(0) ** -20000):
         with pytest.raises(OverflowError):
             make()
-    # the adjoined root reduces as it goes, so its powers never overflow
+    # the adjoined root is a coefficient, so its powers never overflow
     assert t_root(2) ** 40001 == 2 ** 20000 * t_root(2)
 
 
@@ -220,7 +325,8 @@ def test_adjoined_root_reduction_in_packed_keys():
     assert t.inverse() == 3 * t and t ** -3 == 9 * t
     assert (t * alpha(0)) ** 2 == alpha(0) ** 2 / 3
     assert (1 + t) * (1 - t) == Fraction(2, 3)
-    assert ExactScalar({pack_monomial((), 3): 1}, Fraction(1, 3)) == t / 3
+    assert ExactScalar({pack_monomial(((Symbol(0, False), 1),)): t}) \
+        == alpha(0) * t
     assert str(t ** 3 - alpha_bar(1) * t) == "1/3*t - ab1*t"
     with pytest.raises(ExactDivisionError):
         (t + alpha(0)) / (t + alpha(1))
@@ -243,16 +349,29 @@ def test_equal_scalars_built_in_different_orders_hash_alike():
     assert len({x, y, x - alpha(0) + alpha(0)}) == 1
 
 
+def _root_parts(c):
+    """(t exponent, part) of a coefficient's nonzero parts a and b of
+    a + b*t, the t-free part first."""
+    if not isinstance(c, GaussianRational):
+        return [(0, c)]
+    parts = [(0, GaussianRational(c.re, c.im)),
+             (1, GaussianRational(c.tre, c.tim))]
+    return [(te, part) for te, part in parts if part]
+
+
 def _reference_str(x):
-    """The text form as defined on the ((Symbol, exp), ...) monomials."""
+    """The text form as defined on the ((Symbol, exp), ...) monomials,
+    each coefficient's t part right after its t-free part."""
     if not x.terms:
         return "0"
     parts = []
-    for (m, te), k in sorted((unpack_monomial(k), k) for k in x.terms):
+    for m, te, part in sorted(
+            (unpack_monomial(k), te, part)
+            for k, c in x.terms.items() for te, part in _root_parts(c)):
         factors = [str(s) if e == 1 else "%s^%d" % (s, e) for s, e in m]
         if te:
-            factors.append("t" if te == 1 else "t^%d" % te)
-        body, cs = "*".join(factors), str(x.terms[k])
+            factors.append("t")
+        body, cs = "*".join(factors), str(part)
         if not body:
             parts.append(cs)
         elif cs in ("1", "-1"):
@@ -416,14 +535,21 @@ def test_laurent_shift_scale_support():
 # property tests
 
 
+_ROOT = t_root(Fraction(2, 7))
+
+
 def _scalars(exponents=st.integers(1, 2), min_size=0):
+    # coefficients are mostly integers, sometimes field elements with the
+    # root t or with i
     term = st.tuples(st.integers(0, 2), st.booleans(), exponents,
-                     st.integers(-3, 3))
+                     st.integers(-3, 3),
+                     st.sampled_from([1, 1, 1, _ROOT, 1 - _ROOT,
+                                      gauss(0, 1), gauss(1, 1) * _ROOT]))
 
     def build(terms):
         out = ExactScalar()
-        for idx, barred, exp, coef in terms:
-            out = out + coef * sym(idx, barred) ** exp
+        for idx, barred, exp, coef, unit in terms:
+            out = out + coef * unit * sym(idx, barred) ** exp
         return out
 
     return st.lists(term, min_size=min_size, max_size=4).map(build)

@@ -331,6 +331,15 @@ def test_paths_refuses_a_negative_cap(capsys):
     assert code == 3 and err.startswith("error: more than 0 lukasiewicz")
 
 
+def test_family_refuses_a_negative_count(capsys):
+    argv = ("family", "--name", "mass_point", "--param", "gamma=1/2")
+    code, out, err = _run(capsys, *argv, "--count", "-2")
+    assert (code, out, err) == (1, "", "error: --count must be nonnegative, "
+                                       "got -2\n")
+    code, out, err = _run(capsys, *argv, "--count", "0")
+    assert code == 0 and out.count("\n") == 1 and "mass_point" in out
+
+
 def test_paths_json_format(capsys):
     code, out, err = _run(capsys, "paths", "--model", "lukasiewicz",
                           "-n", "3", "--format", "json")

@@ -74,12 +74,14 @@ GRID = (
         "--mode", "numeric")]
     # the family listing honours --format
     + [("family", "--format", fmt) for fmt in ("json", "csv")]
-    # refused before any work: a negative --max or --cap, and a symbolic
-    # seeded suite past the generic-moment cost guard
+    # refused before any work: a negative --max, --cap or --count, and a
+    # symbolic seeded suite past the generic-moment cost guard
     + [("verify", "--suite", "cross-model", "--max", "-1"),
        ("verify", "--max", "-1"),
        ("paths", "--model", "lukasiewicz", "-n", "3", "--cap", "-3"),
-       ("verify", "--max", "6")]
+       ("verify", "--max", "6"),
+       ("family", "--name", "mass_point", "--param", "gamma=1/2",
+        "--count", "-2")]
 )
 
 

@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never reads, commands write
-only through the one writer, a sequence keeps its memos in `cache`, and
-only `sweep` stores a `cache` entry, which nothing removes."""
+only through the one writer, a sequence keeps its memos in `cache`, only
+`sweep` stores a `cache` entry, which nothing removes, and only `algebra`
+knows how an exact value is stored."""
 
 import ast
 from pathlib import Path
@@ -181,3 +182,47 @@ def test_sweep_tables_only_grow():
     edits = [(path.stem,) + edit for path in MODULES
              for edit in cache_edits(path.read_text())]
     assert edits == [("core", "VerblunskySequence.sweep", "assign")]
+
+
+# an ExactScalar's term table and the parts of a GaussianRational
+REPRESENTATION = {"terms", "re", "im", "tre", "tim", "q"}
+
+
+def representation_reads(source):
+    """(module, what) for each read of an exact value's representation
+    outside `algebra`, for a {module name: source} map: an attribute in
+    REPRESENTATION, or a private name imported from `algebra`."""
+    found = []
+    for name, text in sorted(source.items()):
+        if name == "algebra":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and node.attr in REPRESENTATION):
+                found.append((name, "." + node.attr))
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.module or "").split(".")[-1] == "algebra"):
+                found += [(name, alias.name) for alias in node.names
+                          if alias.name.startswith("_")]
+    return sorted(found)
+
+
+def test_representation_reads_are_found():
+    source = {
+        "algebra": "def f(x):\n    return x.terms, x.q\n",
+        "paths": ("from .algebra import _scalar, alpha\n"
+                  "def f(x, args):\n"
+                  "    x.re = 1\n"
+                  "    return len(x.terms), x.tim, args.mode\n"),
+        "cli": "from opuc.algebra import _ZERO\n",
+    }
+    assert representation_reads(source) == [
+        ("cli", "_ZERO"), ("paths", ".terms"), ("paths", ".tim"),
+        ("paths", "_scalar")]
+
+
+def test_only_algebra_knows_the_exact_representation():
+    source = {path.stem: path.read_text()
+              for path in Path(opuc.__file__).parent.glob("*.py")}
+    assert representation_reads(source) == []
