@@ -40,6 +40,7 @@ coefficient's t part right after the rest.
 """
 
 import heapq
+import math
 import sys
 from array import array
 from fractions import Fraction
@@ -708,10 +709,17 @@ def gauss(re, im=0):
 
 
 def t_root(q):
-    """The generator t with t**2 = q (q a positive rational)."""
+    """The generator t with t**2 = q (q a positive rational).
+
+    When q is the square of a rational, t is that rational: adjoining it
+    would give the ring Q(i)[t]/(t*t - q), which has zero divisors.
+    """
     q = Fraction(q)
     if q <= 0:
         raise ValueError("t^2 must be a positive rational, got %s" % q)
+    top, bottom = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if top * top == q.numerator and bottom * bottom == q.denominator:
+        return GaussianRational(GaussianRational._quotient(top, bottom))
     return _field(0, 0, 1, 0, q)
 
 

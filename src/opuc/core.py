@@ -5,7 +5,10 @@ Everything downstream is cross-checked against `moment_oracle`, which
 computes generalized moments directly from the definition: the moment
 functional L is recovered from the polynomial coefficient matrices by
 solving two unit-lower-triangular systems, and the sesquilinear form is
-<f, g> = L(f(z) * conj(g)(1/z)).
+<f, g> = L(f(z) * conj(g)(1/z)).  The oracle forms the product
+phi_s(z) * conj(phi_r)(1/z) once per (r, s), since z^n only moves where
+L reads it, and divides by the squared norm kappa_s from a prefix-product
+table.  It imports nothing but `algebra`, so it never reaches a route.
 """
 
 from .algebra import (SYMBOLIC, NUMERIC, LaurentPoly,
@@ -21,10 +24,12 @@ class VerblunskySequence:
     and leaves it as a caller obligation.  Instances are treated as
     immutable; the caches only memoize pure functions of the sequence.
     Every table that grows with n (the coefficients, the phi pairs, the
-    classical moments, each path model's columns and the transfer rows)
-    is a list in `cache`, extended by `sweep`; the theta blocks are not
-    cached.  Entry j + 1 of the coefficient table holds (alpha_j,
-    conj(alpha_j), rho_j), and `alpha`, `alpha_bar` and `rho` only read it.
+    classical moments, the norms kappa_s under ("kappa",), each path
+    model's columns and the transfer rows) is a list in `cache`, extended
+    by `sweep`; the oracle's product for (r, s) is the one entry of the
+    table ("pairing", r, s), and the theta blocks are not cached.  Entry
+    j + 1 of the coefficient table holds (alpha_j, conj(alpha_j), rho_j),
+    and `alpha`, `alpha_bar` and `rho` only read it.
     """
 
     def __init__(self, accessor, mode, source="table"):
@@ -158,7 +163,13 @@ def kappa(vs, n):
     """Squared norm of phi_n: the product of (1 - |alpha_j|^2), j < n."""
     if n < 0:
         raise ValueError("kappa index must be >= 0")
-    return vs.rho_product(0, n)
+    return vs.sweep(("kappa",), n, _kappa_step)[n]
+
+
+def _kappa_step(vs, table):
+    # entry s is entry s - 1 times rho_{s-1}: rho_product(0, s)'s order
+    s = len(table)
+    return table[-1] * vs.rho(s - 1) if s else one_of(vs.mode)
 
 
 def moments_from_phis(vs, N):
@@ -184,29 +195,35 @@ def _moment_pair_step(vs, pairs):
     n = len(pairs)
     if not n:
         return one_of(vs.mode), one_of(vs.mode)
-    p = phi(vs, n).phi
+    coeff = phi(vs, n).phi.coeffs.get
     acc_neg = zero_of(vs.mode)
     acc_pos = zero_of(vs.mode)
     for k in range(n):
-        c = p.coeff(k)
+        c = coeff(k)
         if not c:
             continue
         pos, neg = pairs[k]
         acc_neg = acc_neg + c * neg
-        acc_pos = acc_pos + conjugate(c) * pos
+        acc_pos = acc_pos + c.conjugate() * pos
     return -acc_pos, -acc_neg
 
 
 def functional_eval(vs, f):
     """Apply L to a Laurent polynomial: L(z^k) = mu_{-k}."""
+    return _functional_shifted(vs, f, 0)
+
+
+def _functional_shifted(vs, f, d):
+    # L(z^-d f), summed in f's key order
     if f.is_zero:
         return zero_of(vs.mode)
-    need = max(abs(f.valuation()), abs(f.degree()))
+    need = max(abs(f.valuation() - d), abs(f.degree() - d))
     # reads the (mu_n, mu_{-n}) table in place: splitting it as
     # moments_from_phis does costs O(need) on every call
     pairs = vs.sweep(("moments",), need, _moment_pair_step)
     out = zero_of(vs.mode)
     for k, c in f.coeffs.items():
+        k -= d
         out = out + c * (pairs[k][1] if k >= 0 else pairs[-k][0])
     return out
 
@@ -218,6 +235,11 @@ def inner_product(vs, f, g):
 
 def normalized_pairing(vs, s, g):
     """<phi_s, g> / <phi_s, phi_s>; a zero norm raises ValueError."""
+    return _over_norm(vs, s, inner_product, phi(vs, s).phi, g)
+
+
+def _over_norm(vs, s, pairing, *args):
+    # pairing(vs, *args) / kappa_s, the norm checked first
     norm = kappa(vs, s)
     if not norm:
         zeros = [j for j in range(s) if not vs.rho(j)]
@@ -225,7 +247,7 @@ def normalized_pairing(vs, s, g):
             "the oracle divides by <phi_%d, phi_%d>, which is 0: %s"
             % (s, s, "rho_%d = 0" % zeros[0] if zeros
                else "the product of rho_j underflows"))
-    return inner_product(vs, phi(vs, s).phi, g) / norm
+    return pairing(vs, *args) / norm
 
 
 def moment_oracle(vs, n, r, s):
@@ -235,9 +257,19 @@ def moment_oracle(vs, n, r, s):
     method is tested against.  For n >= 0 and s > r + n, z^n phi_r has
     degree below s, so it is orthogonal to phi_s and the moment is 0
     without reading the norm's alpha_{r+n}..alpha_{s-1}.
+
+    The product P = phi_s(z) * conj(phi_r)(1/z) does not depend on n:
+    <phi_s, z^n phi_r> = L(z^-n P).  P is built once per (r, s) and kept
+    in the sweep table ("pairing", r, s); each n then reads the moment
+    table at offset -n, with the floats of a fresh product, in its order.
     """
     if r < 0 or s < 0:
         raise ValueError("r and s must be >= 0")
     if n >= 0 and s > r + n:
         return vs.zero()
-    return normalized_pairing(vs, s, phi(vs, r).phi.shift(n))
+    product = vs.sweep(("pairing", r, s), 0, _pairing_step, r, s)[0]
+    return _over_norm(vs, s, _functional_shifted, product, n)
+
+
+def _pairing_step(vs, table, r, s):
+    return phi(vs, s).phi * bar_inverse_substitute(phi(vs, r).phi)

@@ -9,11 +9,12 @@ no practical size limit.  Both compute the same weighted totals, which
 the test suite exercises model against model.
 
 The enumerator is one walker over per-model step rules; `_MODELS` holds
-each model's rule and step weight by name.  The DP evaluators keep their
-own kernels and never read that table.  Each evaluator's state is a
-table per start height, cached on the driving sequence and grown one
-column at a time by `VerblunskySequence.sweep`, so later requests reuse
-the columns already built; no model reads another's.
+each model's rule and step weight by name.  A unit-weight count over the
+same rules sizes a listing before any path is built.  The DP evaluators
+keep their own kernels and never read that table.  Each evaluator's
+state is a table per start height, cached on the driving sequence and
+grown one column at a time by `VerblunskySequence.sweep`, so later
+requests reuse the columns already built; no model reads another's.
 
 All step weights live in the coefficient ring of the driving
 VerblunskySequence, so a single code path serves both exact symbolic and
@@ -21,6 +22,7 @@ floating-point numeric work.
 """
 
 import functools
+import math
 
 from .algebra import SYMBOLIC, beta_form, render_beta_monomial
 from .errors import EnumerationCapExceeded, PositivityViolation, ZeroVerblunsky
@@ -198,21 +200,59 @@ def _walk(start, end, moves, slack):
         yield from visit(*start, True)
 
 
+def _count(start, end, moves, slack, limit=math.inf):
+    # the paths _walk would list, by unit-weight sums over the same moves,
+    # memoised per point; a point's sum stops once it passes limit, which
+    # is all a refusal needs.  Depth first on an explicit stack, because a
+    # path can be longer than the recursion limit.
+    if slack(*start) < 0:
+        return 0
+    memo = {}
+    stack = [[start, iter(moves(*start, True)), int(start == end)]]
+    while stack:
+        top = stack[-1]
+        (x, y), steps, total = top
+        child = None
+        for dx, dy in steps:
+            if total > limit:
+                break
+            point = (x + dx, y + dy)
+            if slack(*point) >= 0:
+                if point not in memo:
+                    child = point
+                    break
+                total += memo[point]
+        if child is not None:
+            top[2] = total
+            stack.append([child, iter(moves(*child, False)),
+                          int(child == end)])
+        else:
+            memo[x, y] = total
+            stack.pop()
+            if stack:
+                stack[-1][2] += total
+    return memo[start]
+
+
+def count_paths(model, n, r, s):
+    """How many paths enumerate_paths lists, without building any."""
+    return _count(*_model(model)[0](n, r, s))
+
+
 def enumerate_paths(model, n, r, s, cap=DEFAULT_CAP):
     """Every path of the model for the given boundary data.
 
     Endpoints per model: lukasiewicz and schroder run (0, r) -> (n, s),
     gmotzkin runs (-r, r) -> (2n - s, s), negative runs (0, s) -> (-n, r).
-    Raises EnumerationCapExceeded once more than `cap` paths exist.
+    Raises EnumerationCapExceeded, before any path is built, when more
+    than `cap` paths exist.
     """
     start, end, moves, slack = _model(model)[0](n, r, s)
-    out = []
-    for steps in _walk(start, end, moves, slack):
-        if len(out) >= cap:
-            raise EnumerationCapExceeded(
-                "more than %d %s paths for (n=%d, r=%d, s=%d)" % (cap, model, n, r, s))
-        out.append(LatticePath(model, start, steps))
-    return out
+    if _count(start, end, moves, slack, cap) > cap:
+        raise EnumerationCapExceeded(
+            "more than %d %s paths for (n=%d, r=%d, s=%d)" % (cap, model, n, r, s))
+    return [LatticePath(model, start, steps)
+            for steps in _walk(start, end, moves, slack)]
 
 
 def path_weight(path, vs):

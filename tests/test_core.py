@@ -11,7 +11,8 @@ from opuc.algebra import (GaussianRational, LaurentPoly, NUMERIC, SYMBOLIC,
                           alpha, alpha_bar, bar_inverse_substitute, conjugate,
                           gauss, values_close)
 from opuc.core import (VerblunskySequence, functional_eval, inner_product,
-                       kappa, moment_oracle, moments_from_phis, phi, reverse)
+                       kappa, moment_oracle, moments_from_phis,
+                       normalized_pairing, phi, reverse)
 from opuc.matrices import cmv_walk_entry, u_power_entry
 from opuc.paths import (moment_gmotzkin, moment_lukasiewicz, moment_negative,
                         moment_schroder)
@@ -322,3 +323,93 @@ def test_oracle_refuses_a_zero_norm():
     with pytest.raises(ValueError, match="underflows"):
         moment_oracle(tiny, 50, 0, 50)
     assert moment_oracle(tiny, 1, 0, 50) == 0
+
+
+# the oracle pairs through one product per (r, s): these pin it to the
+# pairing built afresh for every cell
+
+ORACLE_GRID = [(n, r, s) for n in range(-6, 9) for r in range(5)
+               for s in range(5)]
+
+
+def _fresh_pairing(vs, n, r, s):
+    if n >= 0 and s > r + n:
+        return vs.zero()
+    return normalized_pairing(vs, s, phi(vs, r).phi.shift(n))
+
+
+def _definition(vs, n, r, s):
+    # the pairing spelled out here, so that a change shared by the oracle
+    # and `functional_eval` cannot hide: the product for this n, then L
+    # term by term in the product's key order, then the rho_j product
+    if n >= 0 and s > r + n:
+        return vs.zero()
+    f = phi(vs, s).phi * bar_inverse_substitute(phi(vs, r).phi.shift(n))
+    top = max([abs(k) for k in f.coeffs] + [0])
+    pos, neg = moments_from_phis(vs, top)
+    out = vs.zero()
+    for k, c in f.coeffs.items():
+        out = out + c * (neg[k] if k >= 0 else pos[-k])
+    return out / vs.rho_product(0, s)
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def _products(vs):
+    return {key: table[0] for key, table in vs.cache.items()
+            if key[0] == "pairing"}
+
+
+def test_oracle_repeats_the_fresh_pairing_bit_for_bit():
+    for seed in (3, 11):
+        vs = numeric_vs(seed, length=24)
+        fresh = numeric_vs(seed, length=24)
+        for n, r, s in ORACLE_GRID:
+            value = _bits(moment_oracle(vs, n, r, s))
+            assert value == _bits(_fresh_pairing(fresh, n, r, s))
+            assert value == _bits(_definition(fresh, n, r, s))
+
+
+def test_oracle_equals_the_fresh_pairing_exactly():
+    exact = VerblunskySequence.from_table(
+        [Fraction(1, 2), gauss(Fraction(1, 3), Fraction(-1, 5)),
+         Fraction(-2, 7), gauss(0, Fraction(3, 4)), Fraction(1, 9),
+         gauss(Fraction(-1, 6), Fraction(1, 2))] * 3, SYMBOLIC)
+    for n, r, s in ORACLE_GRID:
+        value = moment_oracle(exact, n, r, s)
+        assert value == _fresh_pairing(exact, n, r, s)
+        assert value == _definition(exact, n, r, s)
+    # generic symbols grow fast in n + max(r, s), so a corner of the grid
+    vs = generic_vs()
+    for n, r, s in ORACLE_GRID:
+        if abs(n) + max(r, s) <= 6:
+            assert moment_oracle(vs, n, r, s) == _fresh_pairing(vs, n, r, s)
+
+
+def test_more_n_reuses_each_pairing_product():
+    vs = numeric_vs(5, length=24)
+    for n, r, s in ORACLE_GRID:
+        moment_oracle(vs, n, r, s)
+    products = _products(vs)
+    assert sorted(products) == [("pairing", r, s) for r in range(5)
+                                for s in range(5)]
+    for n in list(range(9, 13)) + list(range(-9, -6)):
+        for r in range(5):
+            for s in range(5):
+                moment_oracle(vs, n, r, s)
+    assert all(len(vs.cache[key]) == 1 for key in products)
+    after = _products(vs)
+    assert after.keys() == products.keys()
+    assert all(after[key] is products[key] for key in products)
+
+
+def test_kappa_table_is_the_rho_product():
+    vs = numeric_vs(9, length=12)
+    kappa(vs, 12)
+    table = vs.cache[("kappa",)]
+    assert len(table) == 13
+    for s, value in enumerate(table):
+        assert _bits(value) == _bits(vs.rho_product(0, s))
+        assert kappa(vs, s) is value

@@ -46,7 +46,10 @@ GRID = (
         "--count", "6"),
        ("moment", "--family", "rogers_szego", "--param", "q=1/3",
         "-n", "2", "-r", "1", "-s", "0", "--method", "all",
-        "--format", "json")]
+        "--format", "json"),
+       # q = 1/4 is a rational square, so t is the rational 1/2
+       ("moment", "--family", "rogers_szego", "--param", "q=1/4",
+        "-n", "2", "-r", "1", "--method", "all")]
     + [("paths", "--model", model, "-n", n, "-r", r, "-s", s)
        for model, n, r, s in (("lukasiewicz", "3", "1", "1"),
                               ("gmotzkin", "2", "1", "0"),

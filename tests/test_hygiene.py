@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never reads, commands write
 only through the one writer, a sequence keeps its memos in `cache`, only
-`sweep` stores a `cache` entry, which nothing removes, and only `algebra`
-knows how an exact value is stored."""
+`sweep` stores a `cache` entry, which nothing removes, only `algebra`
+knows how an exact value is stored, and the oracle's module `core`
+imports nothing of the package but `algebra`."""
 
 import ast
 from pathlib import Path
@@ -226,3 +227,36 @@ def test_only_algebra_knows_the_exact_representation():
     source = {path.stem: path.read_text()
               for path in Path(opuc.__file__).parent.glob("*.py")}
     assert representation_reads(source) == []
+
+
+def foreign_imports(source):
+    """The package names a source imports anywhere in it, other than
+    `algebra` and what it holds, as dotted targets: `core` holds the
+    oracle, which must never reach a path or matrix route."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            sep = "." if node.module else ""
+            found += [base + sep + alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+    return [name for name in found
+            if (name.startswith(".") or name.split(".")[0] == "opuc")
+            and "algebra" not in name.split(".")]
+
+
+def test_foreign_imports_are_found():
+    source = ("import math\nfrom .algebra import one_of\n"
+              "from opuc.algebra import LaurentPoly\nfrom . import paths\n"
+              "from .matrices import u_power_entry\nimport opuc.cli\n"
+              "def f():\n    from opuc import algebra, families\n"
+              "    from ..opuc.paths import moment_schroder\n")
+    assert foreign_imports(source) == [
+        ".paths", ".matrices.u_power_entry", "opuc.cli", "opuc.families",
+        "..opuc.paths.moment_schroder"]
+
+
+def test_the_oracle_module_imports_only_algebra():
+    core = Path(opuc.__file__).with_name("core.py")
+    assert foreign_imports(core.read_text()) == []

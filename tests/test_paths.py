@@ -8,7 +8,7 @@ from opuc.core import moment_oracle
 from opuc.errors import (EnumerationCapExceeded, PositivityViolation,
                          ZeroVerblunsky)
 from opuc.paths import (DEFAULT_CAP, LEVEL, UP, VERTICAL, LatticePath,
-                        contract_schroder, enumerate_paths,
+                        contract_schroder, count_paths, enumerate_paths,
                         gmotzkin_to_lukasiewicz, lukasiewicz_to_gmotzkin,
                         moment_gmotzkin, moment_lukasiewicz, moment_negative,
                         moment_schroder, path_weight, positivity_certificate,
@@ -43,6 +43,40 @@ def test_enumeration_cap_is_enforced():
     with pytest.raises(EnumerationCapExceeded):
         enumerate_paths("lukasiewicz", 3, 0, 0, cap=4)
     assert len(enumerate_paths("lukasiewicz", 3, 0, 0, cap=5)) == 5
+
+
+def test_ground_level_counts_are_catalan_and_large_schroder_numbers():
+    # OEIS A000108 and A006318
+    catalan_numbers = [1, 1, 2, 5, 14, 42, 132, 429]
+    large_schroder = [1, 2, 6, 22, 90, 394, 1806, 8558]
+    for model, want in (("lukasiewicz", catalan_numbers),
+                        ("gmotzkin", catalan_numbers),
+                        ("negative", catalan_numbers),
+                        ("schroder", large_schroder)):
+        assert [count_paths(model, n, 0, 0) for n in range(8)] == want
+
+
+def test_each_count_is_the_length_of_its_listing():
+    for model in ("lukasiewicz", "gmotzkin", "schroder", "negative"):
+        for n in range(7):
+            for r in range(5):
+                for s in range(5):
+                    assert (count_paths(model, n, r, s)
+                            == len(enumerate_paths(model, n, r, s)))
+
+
+def test_the_cap_is_enforced_before_any_path_is_built(monkeypatch):
+    built = []
+    monkeypatch.setattr(LatticePath, "__init__",
+                        lambda self, *args: built.append(args))
+    with pytest.raises(EnumerationCapExceeded,
+                       match=r"^more than 1000000 lukasiewicz paths for "
+                             r"\(n=16, r=0, s=0\)$"):
+        enumerate_paths("lukasiewicz", 16, 0, 0)
+    # paths longer than the recursion limit are refused as fast
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_paths("schroder", 2000, 3, 1)
+    assert built == []
 
 
 def test_an_unknown_model_is_a_value_error():
