@@ -5,11 +5,16 @@ Two scalar representations flow through this library:
 * symbolic mode: a symbol-free value is a GaussianRational, an element
   a + b*t of the field Q(i)(t) with a, b Gaussian rationals and t an
   adjoined root, t**2 a fixed positive rational (square roots of a
-  family's rational parameter).  Once a symbol enters, the value is an
-  ExactScalar, a sparse Laurent polynomial over that field in the
-  symbols a_j and ab_j (a_j stands for alpha_j, ab_j for its complex
-  conjugate; the bar is kept as a flag so conjugation is a symbol swap
-  plus coefficient conjugation).
+  family's rational parameter).  It is stored as four int numerators
+  over one int denominator, reduced to lowest terms, so a field
+  operation is a few integer products and one gcd, and no Fraction is
+  built.  Once a symbol enters, the value is an ExactScalar, a sparse
+  Laurent polynomial over that field in the symbols a_j and ab_j (a_j
+  stands for alpha_j, ab_j for its complex conjugate; the bar is kept
+  as a flag so conjugation is a symbol swap plus coefficient
+  conjugation).  Its coefficients are ints, Fractions or field
+  elements, so the generic symbols' integer rings stay in int
+  arithmetic.
 * numeric mode: the builtin ``complex``, used directly so the dynamic
   programs run at native speed.
 
@@ -100,21 +105,31 @@ def _power(x, n, one):
 class GaussianRational:
     """An element a + b*t of the exact coefficient field Q(i)(t).
 
-    a = re + im*i and b = tre + tim*i are Gaussian rationals whose parts
-    are ints or Fractions, and t is the adjoined root with t*t = q, a
-    positive rational.  q is None exactly when b = 0, so an element
-    without t meets any other, while two elements whose roots have
-    different squares refuse to meet (ValueError).  Ints and Fractions
-    mix in as the rationals they are.  Instances are immutable.
+    a and b are Gaussian rationals and t is the adjoined root with
+    t*t = q, a positive rational Fraction.  The element is stored as five
+    ints over one denominator, (n0 + n1*i + (n2 + n3*i)*t) / den, in
+    canonical form: den > 0 and the five ints coprime, so equal elements
+    have equal ints, and q is None exactly when n2 = n3 = 0.  An element
+    without t therefore meets any other, while two elements whose roots
+    have different squares refuse to meet (ValueError).  A product is
+    Gaussian-integer products over den1 * den2, reduced by one gcd; a sum
+    cross-multiplies by the cofactors of gcd(den1, den2) and reduces by a
+    gcd with that gcd alone.  re, im, tre and tim read the parts of a
+    and b, each an int when den is 1 and a Fraction otherwise.  Ints and
+    Fractions mix in as the rationals they are.  Instances are immutable.
     """
 
-    __slots__ = ("re", "im", "tre", "tim", "q")
+    __slots__ = ("n0", "n1", "n2", "n3", "den", "q")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) in (int, Fraction) else Fraction(re)
-        self.im = im if type(im) in (int, Fraction) else Fraction(im)
-        self.tre = self.tim = 0
-        self.q = None
+        re = re if type(re) in (int, Fraction) else Fraction(re)
+        im = im if type(im) in (int, Fraction) else Fraction(im)
+        # over the lcm of two reduced denominators the parts stay coprime
+        den = math.lcm(re.denominator, im.denominator)
+        self.n0 = re.numerator * (den // re.denominator)
+        self.n1 = im.numerator * (den // im.denominator)
+        self.n2 = self.n3 = 0
+        self.den, self.q = den, None
 
     @staticmethod
     def _quotient(c, d):
@@ -124,84 +139,142 @@ class GaussianRational:
             return c // d if not c % d else Fraction(c, d)
         return c / d
 
+    def _part(self, n):
+        return n if self.den == 1 else Fraction(n, self.den)
+
+    re = property(lambda self: self._part(self.n0))
+    im = property(lambda self: self._part(self.n1))
+    tre = property(lambda self: self._part(self.n2))
+    tim = property(lambda self: self._part(self.n3))
+
     def _root(self, other):
         # the q of a value formed from self and other; other carries t
-        if self.q is None or self.q == other.q:
+        q = self.q
+        if q is None or q is other.q or q == other.q:
             return other.q
         raise ValueError("incompatible adjoined roots: t^2=%s vs t^2=%s"
-                         % (self.q, other.q))
+                         % (q, other.q))
+
+    def _plus(self, other, sign):
+        """self + sign*other, other a field element, sign 1 or -1."""
+        da, db = self.den, other.den
+        g = da if da == db else math.gcd(da, db)
+        # den is lcm(da, db), and u, v scale the numerators to it
+        u, v = db // g, da // g
+        den = v * db
+        if sign < 0:
+            v = -v
+        n0 = self.n0 * u + other.n0 * v
+        # a common factor of the sum and den divides g, as each summand
+        # is reduced (Knuth, TAOCP 4.5.1)
+        if self.q is None is other.q and not (self.n1 or other.n1):
+            h = math.gcd(n0, g)
+            if h != 1:
+                return _new(n0 // h, 0, 0, 0, den // h, None)
+            return _new(n0, 0, 0, 0, den, None)
+        q = self.q if other.q is None else self._root(other)
+        n1 = self.n1 * u + other.n1 * v
+        n2 = self.n2 * u + other.n2 * v
+        n3 = self.n3 * u + other.n3 * v
+        h = math.gcd(g, n0, n1, n2, n3)
+        if h != 1:
+            return _new(n0 // h, n1 // h, n2 // h, n3 // h, den // h, q)
+        return _new(n0, n1, n2, n3, den, q)
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
-            if not isinstance(other, (int, Fraction)):
+            other = _embed(other)
+            if other is None:
                 return NotImplemented
-            other = _field(other, 0)
-        if self.q is None is other.q and not (self.im or other.im):
-            a, c = self.re, other.re
-            return _field(a + c if a and c else a or c, 0)
-        q = self.q if other.q is None else self._root(other)
-        return _field(*[x + y if x and y else x or y for x, y in
-                        zip((self.re, self.im, self.tre, self.tim),
-                            (other.re, other.im, other.tre, other.tim))], q)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _field(-self.re, -self.im, -self.tre, -self.tim, self.q)
+        return _new(-self.n0, -self.n1, -self.n2, -self.n3, self.den, self.q)
 
     def __sub__(self, other):
-        return self + -other
+        if type(other) is not GaussianRational:
+            other = _embed(other)
+            if other is None:
+                return NotImplemented
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
-            if not isinstance(other, (int, Fraction)):
+            other = _embed(other)
+            if other is None:
                 return NotImplemented
-            other = _field(other, 0)
-        if self.q is None is other.q and not (self.im or other.im):
-            return _field(self.re * other.re, 0)
-        # a sum of products of the nonzero parts, each on a unit 1, i, t
-        # or it: with bit 0 for i and bit 1 for t, units u and v multiply
-        # to unit u ^ v, times -1 if both hold i and q if both hold t
-        q = self.q if other.q is None else self._root(other)
-        out = [0, 0, 0, 0]
-        ys = [(v, y) for v, y in enumerate(
-            (other.re, other.im, other.tre, other.tim)) if y]
-        for u, x in enumerate((self.re, self.im, self.tre, self.tim)):
-            if x:
-                for v, y in ys:
-                    p = x * y
-                    if u & v & 2:
-                        p = p * q
-                    if u & v & 1:
-                        p = -p
-                    w = u ^ v
-                    out[w] = out[w] + p if out[w] else p
-        return _field(*out, q)
+        a0, a1, b0, b1 = self.n0, self.n1, other.n0, other.n1
+        den = self.den * other.den
+        if self.q is None is other.q and not (a1 or b1):
+            n0 = a0 * b0
+            g = math.gcd(n0, den)
+            if g != 1:
+                return _new(n0 // g, 0, 0, 0, den // g, None)
+            return _new(n0, 0, 0, 0, den, None)
+        # (A + B*t)(C + D*t) = A*C + B*D*q + (A*D + B*C)*t, with Gaussian
+        # integers A = a0 + a1*i, B = a2 + a3*i, C and D likewise
+        n0, n1 = a0 * b0 - a1 * b1, a0 * b1 + a1 * b0
+        if self.q is None is other.q:
+            q, n2, n3 = None, 0, 0
+        else:
+            q = self.q if other.q is None else self._root(other)
+            a2, a3, b2, b3 = self.n2, self.n3, other.n2, other.n3
+            n2 = a0 * b2 - a1 * b3 + a2 * b0 - a3 * b1
+            n3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+            if self.q is not None and other.q is not None:
+                # B*D*q over q's denominator r: scale everything by r
+                p, r = q.numerator, q.denominator
+                n0 = r * n0 + p * (a2 * b2 - a3 * b3)
+                n1 = r * n1 + p * (a2 * b3 + a3 * b2)
+                n2, n3, den = r * n2, r * n3, r * den
+        g = math.gcd(n0, n1, n2, n3, den)
+        if g != 1:
+            return _new(n0 // g, n1 // g, n2 // g, n3 // g, den // g, q)
+        return _new(n0, n1, n2, n3, den, q)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """1 / self.  x = a - b*t (conj(a) when there is no t) makes
-        n = self * x free of t, and n times its conjugate is rational."""
-        if self.q is None and not self.im:
-            return _field(self._quotient(1, self.re), 0)
-        x = (self.conjugate() if self.q is None
-             else _field(self.re, self.im, -self.tre, -self.tim, self.q))
-        n = self * x
-        if n.im:
-            x, n = x * n.conjugate(), n * n.conjugate()
-        if not n:
+        """1 / self.  (A + B*t) * (A - B*t) = A*A - B*B*q, a Gaussian
+        rational, and a Gaussian integer M times conj(M) is an int."""
+        a0, a1, d = self.n0, self.n1, self.den
+        if self.q is None:
+            if not a1:
+                if not a0:
+                    raise ZeroDivisionError("%s has no inverse" % self)
+                # d / a0, already coprime
+                return _new(-d if a0 < 0 else d, 0, 0, 0, abs(a0), None)
+            m0, m1, scale = a0, a1, d
+            x0, x1, x2, x3 = 1, 0, 0, 0
+        else:
+            a2, a3, q = self.n2, self.n3, self.q
+            p, r = q.numerator, q.denominator
+            # M = r*A*A - p*B*B, so that 1/self = d*r*(A - B*t) / M
+            m0 = r * (a0 * a0 - a1 * a1) - p * (a2 * a2 - a3 * a3)
+            m1 = 2 * (r * a0 * a1 - p * a2 * a3)
+            scale = d * r
+            x0, x1, x2, x3 = a0, a1, -a2, -a3
+        norm = m0 * m0 + m1 * m1
+        if not norm:
             raise ZeroDivisionError("%s has no inverse" % self)
-        return x * self._quotient(1, n.re)
+        # (x0 + x1*i) * conj(M) and (x2 + x3*i) * conj(M), times scale
+        n0 = scale * (x0 * m0 + x1 * m1)
+        n1 = scale * (x1 * m0 - x0 * m1)
+        n2 = scale * (x2 * m0 + x3 * m1)
+        n3 = scale * (x3 * m0 - x2 * m1)
+        g = math.gcd(n0, n1, n2, n3, norm)
+        return _new(n0 // g, n1 // g, n2 // g, n3 // g, norm // g, self.q)
 
     def __truediv__(self, other):
         if type(other) is not GaussianRational:
-            if not isinstance(other, (int, Fraction)):
+            other = _embed(other)
+            if other is None:
                 return NotImplemented
-            other = _field(other, 0)
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -212,34 +285,36 @@ class GaussianRational:
 
     def conjugate(self):
         # t is real
-        return _field(self.re, -self.im, self.tre, -self.tim, self.q)
+        return _new(self.n0, -self.n1, self.n2, -self.n3, self.den, self.q)
 
     def _key(self):
-        return self.re, self.im, self.tre, self.tim, self.q
+        return self.n0, self.n1, self.n2, self.n3, self.den, self.q
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _field(other, 0)
-        elif type(other) is not GaussianRational:
-            return NotImplemented
+        if type(other) is not GaussianRational:
+            other = _embed(other)
+            if other is None:
+                return NotImplemented
         return self._key() == other._key()
 
     def __hash__(self):
         # a rational element hashes as the int or Fraction it equals
-        return hash(self.re if self.q is None and not self.im
-                    else self._key())
+        if self.q is None and not self.n1:
+            return hash(self.re)
+        return hash(self._key())
 
     def __bool__(self):
-        return self.q is not None or bool(self.re or self.im)
+        return self.q is not None or bool(self.n0 or self.n1)
 
     @property
     def is_zero(self):
         return not self
 
     def __complex__(self):
-        v = complex(self.re) + 1j * complex(self.im)
+        d = self.den
+        v = complex(self.n0 / d) + 1j * complex(self.n1 / d)
         if self.q is not None:
-            v += (complex(self.tre) + 1j * complex(self.tim)) \
+            v += (complex(self.n2 / d) + 1j * complex(self.n3 / d)) \
                 * float(self.q) ** 0.5
         return v
 
@@ -253,8 +328,9 @@ class GaussianRational:
 
     def _rows(self):
         """(t exponent, text) of the nonzero parts a and b, a first."""
-        return [(te, _gauss_text(re, im)) for te, re, im in
-                ((0, self.re, self.im), (1, self.tre, self.tim)) if re or im]
+        return [(te, _gauss_text(self._part(x), self._part(y)))
+                for te, x, y in ((0, self.n0, self.n1), (1, self.n2, self.n3))
+                if x or y]
 
     def __str__(self):
         if self.q is None:
@@ -265,11 +341,19 @@ class GaussianRational:
     __repr__ = __str__
 
 
-def _field(re, im, tre=0, tim=0, q=None):
+def _new(n0, n1, n2, n3, den, q):
+    """The element (n0 + n1*i + (n2 + n3*i)*t) / den of canonical ints."""
     out = object.__new__(GaussianRational)
-    out.re, out.im, out.tre, out.tim = re, im, tre, tim
-    out.q = q if tre or tim else None
+    out.n0, out.n1, out.n2, out.n3, out.den = n0, n1, n2, n3, den
+    out.q = q if n2 or n3 else None
     return out
+
+
+def _embed(x):
+    """An int or Fraction as a field element, anything else None."""
+    if isinstance(x, (int, Fraction)):
+        return _new(x.numerator, 0, 0, 0, x.denominator, None)
+    return None
 
 
 def _has_t(c):
@@ -408,8 +492,9 @@ class ExactScalar:
         if isinstance(x, ExactScalar):
             return x
         if type(x) is GaussianRational:
-            if x.q is None and not x.im:
-                x = x.re  # a rational stays an int or a Fraction
+            if x.q is None and not x.n1:
+                # a rational stays an int or a Fraction
+                x = x.n0 if x.den == 1 else x.re
         elif not isinstance(x, (int, Fraction)):
             return None
         return _scalar({0: x} if x else {}, 0)
@@ -720,7 +805,7 @@ def t_root(q):
     top, bottom = math.isqrt(q.numerator), math.isqrt(q.denominator)
     if top * top == q.numerator and bottom * bottom == q.denominator:
         return GaussianRational(GaussianRational._quotient(top, bottom))
-    return _field(0, 0, 1, 0, q)
+    return _new(0, 0, 1, 0, 1, q)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,13 @@ EXIT_CAP = 3
 # oracle to 34 s and 400 MB
 GENERIC_MOMENT_LIMIT = 10
 
+# cost guard for `paths` on the generic symbols, in paths listed: a
+# listing costs 0.1-0.45 ms of CPU per path on a 2-vCPU machine, so 10**4
+# paths take at most about 4 s (the slowest measured, schroder at
+# (5, 5, 1): 8804 paths, 3.9 s, 220 MB).  Lukasiewicz at n = 10 (16796
+# paths) takes 2.9 s, and at n = 11 (58786) 112 s and 421 MB
+GENERIC_PATH_LIMIT = 10 ** 4
+
 
 class CliError(Exception):
     """Invalid input or unsupported request; maps to exit code 1."""
@@ -337,8 +344,17 @@ def cmd_paths(args):
         raise CliError("n, r, s must be nonnegative")
     if args.cap < 0:
         raise CliError("--cap must be nonnegative, got %d" % args.cap)
+    guarded = vs.source == "generic" and args.cap > GENERIC_PATH_LIMIT
     start = time.perf_counter()
-    listing = enumerate_paths(args.model, n, r, s, cap=args.cap)
+    try:
+        listing = enumerate_paths(args.model, n, r, s, cap=(
+            GENERIC_PATH_LIMIT if guarded else args.cap))
+    except EnumerationCapExceeded as exc:
+        if guarded:
+            raise EnumerationCapExceeded(
+                "%s on the generic symbols; use --family or --alphas for "
+                "larger listings" % exc)
+        raise
     weights = [path_weight(path, vs) for path in listing]
     # float sums keep the listing order, which fixes their bits
     total = (exact_sum(weights) if mode == SYMBOLIC

@@ -181,23 +181,30 @@ def _model(name):
 
 
 def _walk(start, end, moves, slack):
-    # depth first; a path is yielded on reaching the end, whose own moves
-    # are then still tried
-    x_end, y_end = end
+    # depth first on an explicit stack, as _count, because a path can be
+    # longer than the recursion limit; a path is yielded on reaching the
+    # end, whose own moves are then still tried.  stack[i] holds the
+    # point reached by steps[:i] and the iterator over its moves.
+    if slack(*start) < 0:
+        return
+    if start == end:
+        yield ()
     steps = []
-
-    def visit(x, y, first):
-        if x == x_end and y == y_end:
-            yield tuple(steps)
-        for step in moves(x, y, first):
-            nx, ny = x + step[0], y + step[1]
-            if slack(nx, ny) >= 0:
+    stack = [(start, iter(moves(*start, True)))]
+    while stack:
+        (x, y), untried = stack[-1]
+        for step in untried:
+            point = (x + step[0], y + step[1])
+            if slack(*point) >= 0:
                 steps.append(step)
-                yield from visit(nx, ny, False)
+                if point == end:
+                    yield tuple(steps)
+                stack.append((point, iter(moves(*point, False))))
+                break
+        else:
+            stack.pop()
+            if steps:
                 steps.pop()
-
-    if slack(*start) >= 0:
-        yield from visit(*start, True)
 
 
 def _count(start, end, moves, slack, limit=math.inf):

@@ -1,5 +1,7 @@
 """Exact scalar ring, Laurent polynomials, and the mode-agnostic helpers."""
 
+import math
+import operator
 import os
 import subprocess
 import sys
@@ -147,6 +149,108 @@ def test_field_axioms(x, y, z):
     assert abs(complex(x * y) - complex(x) * complex(y)) < 1e-9
     if y:
         assert (x * y) / y == x and y * (1 / y) == 1
+
+
+# a reference field on Fraction parts: (re, im, tre, tim) and the root's q
+
+
+def _gmul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _ref_mul(x, y, q):
+    a, b, c, d = x[:2], x[2:], y[:2], y[2:]
+    ac, bd, ad, bc = _gmul(a, c), _gmul(b, d), _gmul(a, d), _gmul(b, c)
+    return (ac[0] + q * bd[0], ac[1] + q * bd[1], ad[0] + bc[0], ad[1] + bc[1])
+
+
+def _ref_inverse(x, q):
+    # (a + b*t)^-1 = (a - b*t) / (a*a - q*b*b), and 1/m = conj(m) / |m|^2
+    a, b = x[:2], x[2:]
+    aa, bb = _gmul(a, a), _gmul(b, b)
+    m = (aa[0] - q * bb[0], aa[1] - q * bb[1])
+    norm = m[0] ** 2 + m[1] ** 2
+    inv = (m[0] / norm, -m[1] / norm)
+    return _gmul(a, inv) + _gmul((-b[0], -b[1]), inv)
+
+
+def _ref_element(parts, root):
+    re, im, tre, tim = parts
+    return gauss(re, im) + gauss(tre, tim) * root
+
+
+def _assert_canonical(x, parts, q):
+    """x is in canonical integer form and holds the reference parts."""
+    ints = (x.n0, x.n1, x.n2, x.n3)
+    assert all(type(n) is int for n in ints + (x.den,))
+    assert x.den > 0 and math.gcd(*ints, x.den) == 1
+    assert (x.q is None) == (x.n2 == x.n3 == 0)
+    assert x.q is None or x.q == q
+    assert (x.re, x.im, x.tre, x.tim) == parts
+    assert all(type(p) is (int if x.den == 1 else Fraction)
+               for p in (x.re, x.im, x.tre, x.tim))
+
+
+_parts = st.tuples(*[st.builds(Fraction, st.integers(-40, 40),
+                               st.integers(1, 30))] * 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_parts, _parts, st.sampled_from([Fraction(2), Fraction(2, 3),
+                                        Fraction(5, 12)]),
+       st.booleans(), st.booleans())
+@example((Fraction(1), Fraction(1), 0, 0), (Fraction(1), Fraction(-1), 0, 0),
+         Fraction(2), False, False)
+def test_field_operations_match_the_fraction_parts_reference(
+        xp, yp, q, x_has_t, y_has_t):
+    # (1+i)(1-i) = 2: a Gaussian product can reduce where no part's does
+    xp = xp if x_has_t else xp[:2] + (0, 0)
+    yp = yp if y_has_t else yp[:2] + (0, 0)
+    t = t_root(q)
+    x, y = _ref_element(xp, t), _ref_element(yp, t)
+    _assert_canonical(x, xp, q)
+    cases = [
+        (x + y, tuple(a + b for a, b in zip(xp, yp))),
+        (x - y, tuple(a - b for a, b in zip(xp, yp))),
+        (x * y, _ref_mul(xp, yp, q)),
+        (-x, tuple(-a for a in xp)),
+        (x.conjugate(), (xp[0], -xp[1], xp[2], -xp[3])),
+        (x + yp[0], (xp[0] + yp[0],) + xp[1:]),
+        (x * yp[1], tuple(a * yp[1] for a in xp)),
+    ]
+    if any(yp):
+        inv = _ref_inverse(yp, q)
+        cases += [(y.inverse(), inv), (1 / y, inv),
+                  (x / y, _ref_mul(xp, inv, q))]
+    for got, parts in cases:
+        _assert_canonical(got, parts, q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.fractions(), _parts)
+def test_rational_elements_equal_and_hash_as_their_rationals(r, xp):
+    x = _ref_element(xp, t_root(3))
+    for g in (gauss(r), (x + r) - x, (x + 1) * r - x * r):
+        assert g == r and r == g and hash(g) == hash(r)
+        assert {r: 1}[g] == 1
+        assert type(g.re) is (int if r.denominator == 1 else Fraction)
+        if r.denominator == 1:
+            assert g == int(r) and hash(g) == hash(int(r))
+    assert gauss(r, 1) != r
+
+
+def test_mixing_two_roots_and_dividing_by_zero_still_raise():
+    s, t = t_root(2), t_root(3)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(ValueError, match="incompatible adjoined roots"):
+            op(1 + s, t)
+    for zero in (gauss(0), s - s, (1 + t) * 0, 0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            (1 + t) / zero
+        with pytest.raises(ZeroDivisionError):
+            gauss(1, 1) / zero
+        with pytest.raises(ZeroDivisionError):
+            1 / (gauss(0) + zero)
 
 
 def test_exact_sum_equals_the_running_sum():

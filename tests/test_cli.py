@@ -14,6 +14,7 @@ import pytest
 from opuc import cli
 from opuc.cli import (CliError, literal_value, main, parse_complex_literal,
                       random_alpha_table)
+from opuc.paths import count_paths
 
 
 def _run(capsys, *argv):
@@ -319,6 +320,47 @@ def test_paths_cap_exceeded_is_exit_three(capsys):
                           "-n", "3", "--cap", "4")
     assert code == 3
     assert "more than 4" in err
+
+
+def test_generic_paths_cost_guard(capsys):
+    limit = cli.GENERIC_PATH_LIMIT
+    # Lukasiewicz at n = 10 lists 16796 paths
+    for model in ("lukasiewicz", "gmotzkin", "negative"):
+        code, out, err = _run(capsys, "paths", "--model", model, "-n", "10")
+        assert (code, out) == (3, "")
+        assert err == ("error: more than %d %s paths for (n=10, r=0, s=0) on "
+                       "the generic symbols; use --family or --alphas for "
+                       "larger listings\n" % (limit, model))
+    # a --cap below the limit keeps its own refusal; the guard ignores
+    # --family and --alphas
+    code, out, err = _run(capsys, "paths", "--model", "schroder", "-n", "8",
+                          "--cap", "99")
+    assert code == 3 and err == ("error: more than 99 schroder paths for "
+                                 "(n=8, r=0, s=0)\n")
+    code, out, err = _run(capsys, "paths", "--model", "gmotzkin", "--family",
+                          "geronimus", "--param", "alpha=1/2", "-n", "10")
+    assert code == 0 and "\ntotal over 16796 paths = " in out
+    # with r, s <= 2, every listing up to n = 6 is served, Schroder's up to
+    # n = 5, and Schroder's at (7, 0, 0) too
+    for model in ("lukasiewicz", "gmotzkin", "schroder", "negative"):
+        for n in range(6 if model == "schroder" else 7):
+            for r in range(3):
+                for s in range(3):
+                    assert count_paths(model, n, r, s) <= limit
+    assert count_paths("schroder", 7, 0, 0) == 8558
+    code, out, err = _run(capsys, "paths", "--model", "lukasiewicz", "-n", "6",
+                          "-r", "2", "-s", "1")
+    assert code == 0 and "\ntotal over 572 paths = " in out
+
+
+def test_a_listing_deeper_than_the_recursion_limit(capsys):
+    n = str(sys.getrecursionlimit())
+    code, out, err = _run(capsys, "paths", "--model", "lukasiewicz", "-n", n,
+                          "-s", n, "--alphas=0.5")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "  0  " + " ".join(["U"] * int(n)) + " 1"
+    assert lines[1:] == ["total over 1 paths = 1"]
 
 
 def test_paths_refuses_a_negative_cap(capsys):

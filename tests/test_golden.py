@@ -49,7 +49,15 @@ GRID = (
         "--format", "json"),
        # q = 1/4 is a rational square, so t is the rational 1/2
        ("moment", "--family", "rogers_szego", "--param", "q=1/4",
-        "-n", "2", "-r", "1", "--method", "all")]
+        "-n", "2", "-r", "1", "--method", "all"),
+       # big exact values: a t part over a 47-digit denominator, complex
+       # parts, and a Jacobi cell with both shifts
+       ("moment", "--family", "rogers_szego", "--param", "q=1/3",
+        "-n", "12", "-r", "2", "-s", "1", "--method", "all"),
+       ("moment", "--family", "bernstein_szego", "--param",
+        "zeta=1/2+1/3i", "-n", "6", "-s", "2", "--method", "all"),
+       ("moment", "--family", "circular_jacobi", "--param", "a=3/2",
+        "-n", "10", "-r", "3", "-s", "2", "--method", "all")]
     + [("paths", "--model", model, "-n", n, "-r", r, "-s", s)
        for model, n, r, s in (("lukasiewicz", "3", "1", "1"),
                               ("gmotzkin", "2", "1", "0"),
@@ -77,12 +85,14 @@ GRID = (
         "--mode", "numeric")]
     # the family listing honours --format
     + [("family", "--format", fmt) for fmt in ("json", "csv")]
-    # refused before any work: a negative --max, --cap or --count, and a
-    # symbolic seeded suite past the generic-moment cost guard
+    # refused before any work: a negative --max, --cap or --count, a
+    # symbolic seeded suite past the generic-moment cost guard, and a
+    # generic listing past the generic-path cost guard
     + [("verify", "--suite", "cross-model", "--max", "-1"),
        ("verify", "--max", "-1"),
        ("paths", "--model", "lukasiewicz", "-n", "3", "--cap", "-3"),
        ("verify", "--max", "6"),
+       ("paths", "--model", "lukasiewicz", "-n", "10"),
        ("family", "--name", "mass_point", "--param", "gamma=1/2",
         "--count", "-2")]
 )

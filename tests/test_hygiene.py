@@ -185,8 +185,10 @@ def test_sweep_tables_only_grow():
     assert edits == [("core", "VerblunskySequence.sweep", "assign")]
 
 
-# an ExactScalar's term table and the parts of a GaussianRational
-REPRESENTATION = {"terms", "re", "im", "tre", "tim", "q"}
+# an ExactScalar's term table, and the parts of a GaussianRational with
+# the ints and the root that store them
+REPRESENTATION = {"terms", "re", "im", "tre", "tim", "q",
+                  "n0", "n1", "n2", "n3", "den"}
 
 
 def representation_reads(source):
@@ -217,10 +219,11 @@ def test_representation_reads_are_found():
                   "    x.re = 1\n"
                   "    return len(x.terms), x.tim, args.mode\n"),
         "cli": "from opuc.algebra import _ZERO\n",
+        "core": "def f(x):\n    return x.n2 // x.den\n",
     }
     assert representation_reads(source) == [
-        ("cli", "_ZERO"), ("paths", ".terms"), ("paths", ".tim"),
-        ("paths", "_scalar")]
+        ("cli", "_ZERO"), ("core", ".den"), ("core", ".n2"),
+        ("paths", ".terms"), ("paths", ".tim"), ("paths", "_scalar")]
 
 
 def test_only_algebra_knows_the_exact_representation():

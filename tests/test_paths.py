@@ -1,8 +1,11 @@
 """Path enumeration, step weights, the DP evaluators, the two
 correspondences, and the coefficient-positivity certificate."""
 
+import sys
+
 import pytest
 
+from opuc import paths as paths_module
 from opuc.algebra import alpha, alpha_bar, conjugate, values_close
 from opuc.core import moment_oracle
 from opuc.errors import (EnumerationCapExceeded, PositivityViolation,
@@ -63,6 +66,40 @@ def test_each_count_is_the_length_of_its_listing():
                 for s in range(5):
                     assert (count_paths(model, n, r, s)
                             == len(enumerate_paths(model, n, r, s)))
+
+
+def _recursive_listing(model, n, r, s):
+    """The step tuples of a listing by plain recursion over the model's
+    rule: each point yields a path on reaching the end, then tries its
+    moves in order."""
+    start, end, moves, slack = paths_module._MODELS[model][0](n, r, s)
+
+    def visit(point, first, steps):
+        if point == end:
+            yield steps
+        for step in moves(*point, first):
+            nxt = (point[0] + step[0], point[1] + step[1])
+            if slack(*nxt) >= 0:
+                yield from visit(nxt, False, steps + (step,))
+
+    return list(visit(start, True, ())) if slack(*start) >= 0 else []
+
+
+def test_listings_follow_the_recursive_order():
+    for model in ("lukasiewicz", "gmotzkin", "schroder", "negative"):
+        for n in range(7):
+            for r in range(4):
+                for s in range(4):
+                    assert ([p.steps for p in enumerate_paths(model, n, r, s)]
+                            == _recursive_listing(model, n, r, s))
+
+
+def test_a_path_longer_than_the_recursion_limit_is_listed():
+    n = sys.getrecursionlimit() + 10
+    (path,) = enumerate_paths("lukasiewicz", n, 0, n)
+    assert path.steps == (UP,) * n
+    (path,) = enumerate_paths("negative", n, n, 0)
+    assert path.steps == ((-1, 1),) * n
 
 
 def test_the_cap_is_enforced_before_any_path_is_built(monkeypatch):
