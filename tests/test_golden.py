@@ -63,6 +63,14 @@ GRID = (
                               ("gmotzkin", "2", "1", "0"),
                               ("schroder", "2", "1", "1"),
                               ("negative", "2", "1", "0"))]
+    # listings whose weights are float prefix products, products carrying
+    # the adjoined root t, and a gentle Motzkin walk past parity dead ends
+    + [("paths", "--model", "lukasiewicz", DYADIC, "-n", "4", "-r", "1",
+        "-s", "2", "--format", "json"),
+       ("paths", "--model", "schroder", "-n", "3", "-r", "1", "-s", "1",
+        "--family", "rogers_szego", "--param", "q=1/3"),
+       ("paths", "--model", "gmotzkin", "-n", "3", "-r", "1", "-s", "2",
+        "--format", "csv")]
     + [("verify", "--format", "text", "--max", "2"),
        ("verify", "--format", "text", "--max", "2", "--mode", "numeric")]
     # every (command, format) pair the blocks above leave out
