@@ -18,13 +18,14 @@ Two scalar representations flow through this library:
 * numeric mode: the builtin ``complex``, used directly so the dynamic
   programs run at native speed.
 
-Module helpers (conjugate, evaluate_numeric, render_scalar) accept every
-representation, which keeps the rest of the library mode-agnostic, and
-plain ``/`` divides exactly in symbolic mode.  A scalar of any kind is
-false exactly when it is zero, so a plain truth test is the zero test
-in both modes.  Integers and Fractions coerce into either mode; floats
-and complexes are rejected by the symbolic side to preserve exactness.
-Equal exact values compare and hash alike, whatever their types.
+Module helpers (conjugate, evaluate_numeric, render_scalar, render_batch)
+accept every representation, which keeps the rest of the library
+mode-agnostic, and plain ``/`` divides exactly in symbolic mode.  A
+scalar of any kind is false exactly when it is zero, so a plain truth
+test is the zero test in both modes.  Integers and Fractions coerce into
+either mode; floats and complexes are rejected by the symbolic side to
+preserve exactness.  Equal exact values compare and hash alike, whatever
+their types.
 
 Convention: symbol index -1 encodes the boundary value alpha_{-1} = -1.
 Constructors eliminate it immediately, so stored symbols always have
@@ -38,10 +39,12 @@ swaps neighbouring fields.  Every exponent must stay within
 +-EXPONENT_LIMIT (32767): each scalar carries a bound on its exponents
 (the sum of the factors' bounds for a product, their maximum for a sum),
 and a product whose bound would pass the limit raises OverflowError
-rather than let a field wrap.  Keys are decoded into (Symbol, exponent)
-pairs only for evaluation, beta_form and the like; the text form reads
-the fields directly and prints the terms in the order of those pairs, a
-coefficient's t part right after the rest.
+rather than let a field wrap.  `_decode` turns a key into its nonzero
+(field, exponent) pairs, fields ascending, for evaluation, beta_form and
+the like.  The text form reads the fields directly and prints the terms
+in the order of those pairs, a coefficient's t part right after the
+rest; render_batch decodes and orders the monomials of many values at
+once, and a single value's text is its one-value case.
 """
 
 import heapq
@@ -50,7 +53,6 @@ import sys
 from array import array
 from fractions import Fraction
 from operator import itemgetter
-from typing import NamedTuple
 
 from .errors import ExactDivisionError
 
@@ -364,16 +366,6 @@ _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
 
 
-class Symbol(NamedTuple):
-    """One generator of the symbolic ring: alpha_index or its conjugate."""
-
-    index: int
-    barred: bool
-
-    def __str__(self):
-        return ("ab%d" if self.barred else "a%d") % self.index
-
-
 # ---------------------------------------------------------------------------
 # packed monomials (layout in the module docstring); ascending field order
 # is the symbol order
@@ -399,29 +391,13 @@ def _decode(key):
     return [(f, d - _HALF) for f, d in enumerate(fields) if d != _HALF]
 
 
-def pack_monomial(m):
-    """Packed key of a monomial ((Symbol, exponent), ...)."""
-    key = 0
-    for s, e in m:
-        if not -EXPONENT_LIMIT <= e <= EXPONENT_LIMIT:
-            raise OverflowError("exponent %d of %s exceeds %d"
-                                % (e, s, EXPONENT_LIMIT))
-        key += e << (_BITS * (2 * s.index + s.barred))
-    return key
-
-
-def unpack_monomial(key):
-    """((Symbol, exponent), ...) of a packed key."""
-    return tuple((Symbol(f >> 1, bool(f & 1)), e) for f, e in _decode(key))
-
-
 class _Chunk(dict):
     """Memo of chunk i of biased keys: a 64-bit chunk (symbol fields
     4i..4i+3) -> its sort bytes and its factor text.
 
     Each nonzero field f with biased exponent d adds the eight big-endian
     bytes of f << 16 | d, so comparing a term's joined sort bytes compares
-    the ((Symbol, exp), ...) tuple it stands for.  Keys share few distinct
+    the key's ((field, exponent), ...) pairs.  Keys share few distinct
     chunks, so most lookups hit.
     """
 
@@ -469,7 +445,7 @@ def _scalar(terms, bound):
 class ExactScalar:
     """Sparse Laurent polynomial in the Verblunsky symbols.
 
-    terms maps a packed monomial key (see pack_monomial) to a nonzero
+    terms maps a packed monomial key (module docstring) to a nonzero
     coefficient: an int, a Fraction or a GaussianRational, so the
     all-integer rings of the generic symbols stay in int arithmetic.
     Exponents may be negative (several step weights and linearization
@@ -636,46 +612,19 @@ class ExactScalar:
         total = 0j
         for k, c in self.terms.items():
             v = complex(c)
-            for s, e in unpack_monomial(k):
-                if s.index not in assignment:
+            for f, e in _decode(k):
+                if f >> 1 not in assignment:
                     raise KeyError(
-                        "no numeric value assigned for index %d" % s.index)
-                a = complex(assignment[s.index])
-                if s.barred:
+                        "no numeric value assigned for index %d" % (f >> 1))
+                a = complex(assignment[f >> 1])
+                if f & 1:
                     a = a.conjugate()
                 v *= a ** e
             total += v
         return total
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        # one to_bytes splits a biased key into 64-bit chunks of four
-        # fields each
-        nq = (max(map(abs, self.terms)).bit_length() >> 6) + 1
-        bias = ((1 << (64 * nq)) - 1) // _MASK * _HALF
-        size, order = 8 * nq, sys.byteorder
-        if sum(map(len, _CHUNKS)) > _CHUNKS_KEPT:
-            _CHUNKS.clear()
-        while len(_CHUNKS) < nq:
-            _CHUNKS.append(_Chunk(len(_CHUNKS)))
-        rows = []
-        for k, c in self.terms.items():
-            q = array("Q", (k + bias).to_bytes(size, order))
-            frags = list(map(_Chunk.__getitem__, _CHUNKS, q))
-            key = b"".join(map(_first, frags))
-            if _has_t(c):
-                rows += [(key, te, frags, cs) for te, cs in c._rows()]
-            else:
-                rows.append((key, 0, frags, str(c)))
-        rows.sort()
-        texts = []
-        for _, te, frags, cs in rows:
-            body = "*".join(filter(None, map(_second, frags)))
-            if te:
-                body += "*t" if body else "t"
-            texts.append(_term_text(body, cs))
-        return _join_terms(texts)
+        return render_batch((self,))[0]
 
     __repr__ = __str__
 
@@ -777,7 +726,7 @@ def sym(j, barred=False):
         return gauss(-1)
     if j < -1:
         raise ValueError("symbol index must be >= -1, got %d" % j)
-    return _scalar({pack_monomial(((Symbol(j, barred), 1),)): 1}, 1)
+    return _scalar({1 << (_BITS * (2 * j + barred)): 1}, 1)
 
 
 def alpha(j):
@@ -871,6 +820,75 @@ def render_scalar(x):
     return repr(x)
 
 
+def _ordered_monomials(keys):
+    """(sort bytes, factor text, key) of each packed key, in text order.
+
+    One to_bytes splits a biased key into 64-bit chunks of four fields
+    each, and the chunk memos give each chunk's share of both.
+    """
+    if not keys:
+        return []
+    nq = (max(map(abs, keys)).bit_length() >> 6) + 1
+    bias = ((1 << (64 * nq)) - 1) // _MASK * _HALF
+    size, order = 8 * nq, sys.byteorder
+    if sum(map(len, _CHUNKS)) > _CHUNKS_KEPT:
+        _CHUNKS.clear()
+    while len(_CHUNKS) < nq:
+        _CHUNKS.append(_Chunk(len(_CHUNKS)))
+    rows = []
+    chunk, sort_join, text_join = _Chunk.__getitem__, b"".join, "*".join
+    for k in keys:
+        frags = list(map(chunk, _CHUNKS,
+                         array("Q", (k + bias).to_bytes(size, order))))
+        rows.append((sort_join(map(_first, frags)),
+                     text_join(filter(None, map(_second, frags))), k))
+    rows.sort()
+    return rows
+
+
+def _poly_text(terms, ordered):
+    """The text of an ExactScalar's terms; ordered holds the
+    _ordered_monomials row of each of its keys, in text order."""
+    if not terms:
+        return "0"
+    rows = []
+    for _, text, k in ordered:
+        c = terms[k]
+        if type(c) is GaussianRational and c.q is not None:
+            rows += [_term_text(text + ("*t" if text else "t") if te
+                                else text, cs)
+                     for te, cs in c._rows()]
+        else:
+            rows.append(_term_text(text, str(c)))
+    return _join_terms(rows)
+
+
+def render_batch(values):
+    """[render_scalar(x) for x in values], with the monomials of the
+    batch's ExactScalars decoded and put in order once.
+
+    A listing's weights and their total share most of their monomials:
+    each distinct key is decoded once per batch, and a value's terms are
+    then ordered by their keys' ranks in the batch.
+    """
+    polys = [x for x in values if isinstance(x, ExactScalar)]
+    if len(polys) == 1:
+        ranked = _ordered_monomials(polys[0].terms)
+    else:
+        ranked = _ordered_monomials(set().union(*[x.terms for x in polys]))
+        rank = {k: i for i, (_, _, k) in enumerate(ranked)}.__getitem__
+    out = []
+    for x in values:
+        if not isinstance(x, ExactScalar):
+            out.append(render_scalar(x))
+        elif len(polys) == 1:
+            out.append(_poly_text(x.terms, ranked))
+        else:
+            out.append(_poly_text(x.terms, [
+                ranked[i] for i in sorted(map(rank, x.terms))]))
+    return out
+
+
 def _polynomial_terms(x, what):
     # the terms of an exact value, a field element read as a constant
     out = ExactScalar._coerce(x)
@@ -894,11 +912,11 @@ def beta_form(x):
                              "in the Verblunsky symbols")
         # a_j sorts before ab_j, as (j, "a") before (j, "b"), and distinct
         # monomials stay distinct, so nothing is merged
-        m = unpack_monomial(k)
+        m = _decode(k)
         if any(e < 0 for _, e in m):
             raise ValueError("negative exponent; not a polynomial")
-        key = tuple(((s.index, "b" if s.barred else "a"), e) for s, e in m)
-        out[key] = -c if sum(e for s, e in m if s.barred) % 2 else c
+        key = tuple(((f >> 1, "ab"[f & 1]), e) for f, e in m)
+        out[key] = -c if sum(e for f, e in m if f & 1) % 2 else c
     return out
 
 

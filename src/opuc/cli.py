@@ -17,7 +17,8 @@ import time
 from fractions import Fraction
 
 from .algebra import (GaussianRational, NUMERIC, SYMBOLIC, beta_form,
-                      conjugate, exact_sum, is_polynomial, values_close)
+                      conjugate, exact_sum, is_polynomial, render_batch,
+                      values_close)
 from .core import VerblunskySequence, moment_oracle, phi
 from .errors import (EnumerationCapExceeded, PositivityViolation,
                      UnsupportedFamily, ZeroVerblunsky)
@@ -32,9 +33,9 @@ from .linearization import (ExpansionResult, expand_moment_basis,
                             star_to_star_coeff_paths)
 from .matrices import (ScalarMatrix, cmv_walk_entry, det_identity_check,
                        rho_power_product, toeplitz_det, u_power_entry)
-from .paths import (DEFAULT_CAP, MODELS, enumerate_paths, moment_gmotzkin,
-                    moment_lukasiewicz, moment_negative, moment_schroder,
-                    path_weight, positivity_certificate)
+from .paths import (DEFAULT_CAP, MODELS, moment_gmotzkin, moment_lukasiewicz,
+                    moment_negative, moment_schroder, positivity_certificate,
+                    weighted_paths)
 
 SCHEMA_VERSION = "1"
 
@@ -347,7 +348,7 @@ def cmd_paths(args):
     guarded = vs.source == "generic" and args.cap > GENERIC_PATH_LIMIT
     start = time.perf_counter()
     try:
-        listing = enumerate_paths(args.model, n, r, s, cap=(
+        listing = weighted_paths(args.model, n, r, s, vs, cap=(
             GENERIC_PATH_LIMIT if guarded else args.cap))
     except EnumerationCapExceeded as exc:
         if guarded:
@@ -355,15 +356,20 @@ def cmd_paths(args):
                 "%s on the generic symbols; use --family or --alphas for "
                 "larger listings" % exc)
         raise
-    weights = [path_weight(path, vs) for path in listing]
+    listing = list(listing)
+    weights = [w for _, w in listing]
     # float sums keep the listing order, which fixes their bits
     total = (exact_sum(weights) if mode == SYMBOLIC
              else sum(weights, vs.zero()))
+    weights.append(total)
+    # an exact listing shares its monomials, so it renders as one batch
+    texts = (render_batch(weights) if mode == SYMBOLIC
+             else [_render(w) for w in weights])
     rows = [{"kind": "path", "index": idx, "steps": path.render(),
-             "weight": _render(w)}
-            for idx, (path, w) in enumerate(zip(listing, weights))]
+             "weight": text}
+            for idx, ((path, _), text) in enumerate(zip(listing, texts))]
     elapsed = (time.perf_counter() - start) * 1000.0
-    total_weight = _render(total)
+    total_weight = texts[-1]
     lines = ["%3d  %-24s %s" % (row["index"], row["steps"], row["weight"])
              for row in rows]
     lines.append("total over %d paths = %s" % (len(listing), total_weight))

@@ -18,8 +18,8 @@ from .algebra import LaurentPoly, zero_of
 from .core import normalized_pairing, phi
 from .errors import ZeroVerblunsky
 from .matrices import ScalarMatrix
-from .paths import (DEFAULT_CAP, UP, enumerate_paths, moment_lukasiewicz,
-                    moment_negative, path_weight, schroder_weight_sum)
+from .paths import (DEFAULT_CAP, UP, moment_lukasiewicz, moment_negative,
+                    schroder_weight_sum, weighted_paths)
 
 PHI_BASIS = "phi"
 PHI_STAR_BASIS = "phi_star"
@@ -199,10 +199,9 @@ def star_to_phi_coeff_paths(vs, n, r, s, cap=DEFAULT_CAP):
     """
     _require_nonzero(vs, r)
     total = vs.zero()
-    for p in enumerate_paths("lukasiewicz", n + 1, r, s, cap=cap):
-        if p.steps and p.steps[0] == UP:
-            continue
-        total = total + path_weight(p, vs)
+    for _, w in weighted_paths("lukasiewicz", n + 1, r, s, vs, cap=cap,
+                               skip_first=(UP,)):
+        total = total + w
     return total / vs.alpha(r)
 
 

@@ -10,7 +10,11 @@ the test suite exercises model against model.
 
 The enumerator is one walker over per-model step rules; `_MODELS` holds
 each model's rule and step weight by name.  A unit-weight count over the
-same rules sizes a listing before any path is built.  The DP evaluators
+same rules sizes a listing before any path is built, and the walk enters
+only points that some path runs through.  Weights are built during the
+walk: a path's weight is its prefix's times one step weight, and each
+step weight is formed once per listing.  `path_weight` forms a single
+path's product afresh, as the independent check.  The DP evaluators
 keep their own kernels and never read that table.  Each evaluator's
 state is a table per start height, cached on the driving sequence and
 grown one column at a time by `VerblunskySequence.sweep`, so later
@@ -180,40 +184,14 @@ def _model(name):
     return _MODELS[name]
 
 
-def _walk(start, end, moves, slack):
-    # depth first on an explicit stack, as _count, because a path can be
-    # longer than the recursion limit; a path is yielded on reaching the
-    # end, whose own moves are then still tried.  stack[i] holds the
-    # point reached by steps[:i] and the iterator over its moves.
-    if slack(*start) < 0:
-        return
-    if start == end:
-        yield ()
-    steps = []
-    stack = [(start, iter(moves(*start, True)))]
-    while stack:
-        (x, y), untried = stack[-1]
-        for step in untried:
-            point = (x + step[0], y + step[1])
-            if slack(*point) >= 0:
-                steps.append(step)
-                if point == end:
-                    yield tuple(steps)
-                stack.append((point, iter(moves(*point, False))))
-                break
-        else:
-            stack.pop()
-            if steps:
-                steps.pop()
-
-
 def _count(start, end, moves, slack, limit=math.inf):
-    # the paths _walk would list, by unit-weight sums over the same moves,
-    # memoised per point; a point's sum stops once it passes limit, which
-    # is all a refusal needs.  Depth first on an explicit stack, because a
-    # path can be longer than the recursion limit.
+    # {point: the paths _walk would list from it}, by unit-weight sums
+    # over the same moves, memoised per point; a point's sum stops once it
+    # passes limit, which is all a refusal needs.  Depth first on an
+    # explicit stack, because a path can be longer than the recursion
+    # limit.  A point past the slack has no entry, a dead end reads 0.
     if slack(*start) < 0:
-        return 0
+        return {}
     memo = {}
     stack = [[start, iter(moves(*start, True)), int(start == end)]]
     while stack:
@@ -238,12 +216,76 @@ def _count(start, end, moves, slack, limit=math.inf):
             stack.pop()
             if stack:
                 stack[-1][2] += total
-    return memo[start]
+    return memo
+
+
+def _listing(model, n, r, s, cap):
+    # (start, end, moves, counts) of a listing of at most cap paths
+    start, end, moves, slack = _model(model)[0](n, r, s)
+    counts = _count(start, end, moves, slack, cap)
+    if counts.get(start, 0) > cap:
+        raise EnumerationCapExceeded(
+            "more than %d %s paths for (n=%d, r=%d, s=%d)" % (cap, model, n, r, s))
+    return start, end, moves, counts
+
+
+def _walk(start, end, moves, counts, skip_first=(), weight=None, vs=None):
+    # yields (steps, weight) of each path in listing order, the weight
+    # None unless a step weight rule and its sequence are given.  Depth
+    # first on an explicit stack, as _count, because a path can be longer
+    # than the recursion limit.  edges[point] lists the moves out of point
+    # to the points with a path through them to the end (counts), so no
+    # branch dies and every weight formed belongs to a listed path; each
+    # edge is [step, point reached, step weight or None until a listed
+    # path first takes it].  stack[i] holds the iterator over the edges
+    # out of the point reached by steps[:i], the weight of steps[:i] (its
+    # parent's times one step weight, from vs.one() at the start as in
+    # path_weight) and that point.  A path is yielded on reaching the
+    # end, whose own moves are then still tried.
+    def out_of(point, first=False):
+        x, y = point
+        skip = skip_first if first else ()
+        out = []
+        for step in moves(x, y, first):
+            child = (x + step[0], y + step[1])
+            if counts.get(child) and step not in skip:
+                out.append([step, child, None])
+        return out
+
+    if not counts.get(start):
+        return
+    one = None if weight is None else vs.one()
+    if start == end:
+        yield (), one
+    edges = {}
+    steps = []
+    stack = [(iter(out_of(start, True)), one, start)]
+    while stack:
+        untried, w, (x, y) = stack[-1]
+        for edge in untried:
+            step, point, sw = edge
+            steps.append(step)
+            if weight is not None:
+                if sw is None:
+                    sw = edge[2] = weight(vs, x, y, *step)
+                w = w * sw
+            if point == end:
+                yield tuple(steps), w
+            out = edges.get(point)
+            if out is None:
+                out = edges[point] = out_of(point)
+            stack.append((iter(out), w, point))
+            break
+        else:
+            stack.pop()
+            if steps:
+                steps.pop()
 
 
 def count_paths(model, n, r, s):
     """How many paths enumerate_paths lists, without building any."""
-    return _count(*_model(model)[0](n, r, s))
+    start, end, moves, slack = _model(model)[0](n, r, s)
+    return _count(start, end, moves, slack).get(start, 0)
 
 
 def enumerate_paths(model, n, r, s, cap=DEFAULT_CAP):
@@ -254,16 +296,32 @@ def enumerate_paths(model, n, r, s, cap=DEFAULT_CAP):
     Raises EnumerationCapExceeded, before any path is built, when more
     than `cap` paths exist.
     """
-    start, end, moves, slack = _model(model)[0](n, r, s)
-    if _count(start, end, moves, slack, cap) > cap:
-        raise EnumerationCapExceeded(
-            "more than %d %s paths for (n=%d, r=%d, s=%d)" % (cap, model, n, r, s))
+    start, end, moves, counts = _listing(model, n, r, s, cap)
     return [LatticePath(model, start, steps)
-            for steps in _walk(start, end, moves, slack)]
+            for steps, _ in _walk(start, end, moves, counts)]
+
+
+def weighted_paths(model, n, r, s, vs, cap=DEFAULT_CAP, skip_first=()):
+    """(path, weight) of every path enumerate_paths lists, in its order,
+    leaving out those that open with a step in skip_first.
+
+    Each weight is its prefix's weight times one step weight, so the
+    listing costs one product per node of its prefix tree, and each
+    distinct step weight is formed once.  The products run left to right
+    from vs.one(), as in path_weight, so every weight equals path_weight's,
+    float bits included.  Raises EnumerationCapExceeded, before any weight
+    is formed, when more than `cap` paths exist, counting the skipped
+    ones too.
+    """
+    start, end, moves, counts = _listing(model, n, r, s, cap)
+    return ((LatticePath(model, start, steps), w) for steps, w in _walk(
+        start, end, moves, counts, skip_first, _model(model)[1], vs))
 
 
 def path_weight(path, vs):
-    """Product of the model's step weights; the empty product is 1."""
+    """Product of the model's step weights; the empty product is 1.
+
+    Forms every step afresh: the independent check of weighted_paths."""
     weight = _model(path.model)[1]
     w = vs.one()
     x, y = path.start

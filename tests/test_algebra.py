@@ -14,12 +14,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from opuc import algebra
 from opuc.algebra import (EXPONENT_LIMIT, ExactScalar, GaussianRational,
-                          LaurentPoly, NUMERIC, SYMBOLIC, Symbol, alpha,
+                          LaurentPoly, NUMERIC, SYMBOLIC, _decode, alpha,
                           alpha_bar, bar_inverse_substitute, beta_form,
                           conjugate, evaluate_numeric, gauss,
-                          is_polynomial, pack_monomial, render_beta_monomial,
-                          render_scalar, sym, t_root, unpack_monomial,
-                          values_close)
+                          is_polynomial, render_batch, render_beta_monomial,
+                          render_scalar, sym, t_root, values_close)
 from opuc.errors import ExactDivisionError
 
 
@@ -385,32 +384,38 @@ def test_render_scalar_both_modes():
 # packed monomials
 
 
+def _pack(pairs):
+    """The packed key of (field, exponent) pairs: field 2j is a_j, field
+    2j+1 is ab_j, each a signed 16-bit exponent."""
+    return sum(e << (16 * f) for f, e in pairs)
+
+
+# fields of a_0..a_1000 and their conjugates
 _monomials = st.dictionaries(
-    st.builds(Symbol, st.integers(0, 1000), st.booleans()),
+    st.integers(0, 2001),
     st.integers(-EXPONENT_LIMIT, EXPONENT_LIMIT).filter(bool),
-    max_size=6).map(lambda d: tuple(sorted(d.items())))
+    max_size=6).map(lambda d: sorted(d.items()))
 
 
 @settings(max_examples=80, deadline=None)
 @given(_monomials)
-@example(((Symbol(0, True), -2), (Symbol(500, False), 7),
-          (Symbol(731, True), -EXPONENT_LIMIT)))
+@example([(1, -2), (1000, 7), (1463, -EXPONENT_LIMIT)])
 def test_packed_monomials_round_trip(m):
-    assert unpack_monomial(pack_monomial(m)) == m
+    assert _decode(_pack(m)) == m
 
 
 def test_packed_keys_add_exponents_across_fields():
-    m1 = ((Symbol(0, False), 3), (Symbol(500, True), -4))
-    m2 = ((Symbol(0, False), -3), (Symbol(2, True), 1),
-          (Symbol(500, True), -1))
-    key = pack_monomial(m1) + pack_monomial(m2)
-    assert unpack_monomial(key) == ((Symbol(2, True), 1),
-                                    (Symbol(500, True), -5))
+    m1 = [(0, 3), (1001, -4)]
+    m2 = [(0, -3), (5, 1), (1001, -1)]
+    assert _decode(_pack(m1) + _pack(m2)) == [(5, 1), (1001, -5)]
     x = alpha(500) ** 3 * alpha_bar(0) ** -2
     assert str(x) == "ab0^-2*a500^3"
     assert x.symbol_indices() == [0, 500]
+    assert list(sym(3, True).terms) == [_pack([(7, 1)])]
+    (key,) = (alpha(1) ** EXPONENT_LIMIT).terms
+    assert _decode(key) == [(2, EXPONENT_LIMIT)]
     with pytest.raises(OverflowError):
-        pack_monomial(((Symbol(1, False), EXPONENT_LIMIT + 1),))
+        alpha(1) ** (EXPONENT_LIMIT + 1)
 
 
 def test_exponent_overflow_raises_instead_of_wrapping():
@@ -431,8 +436,7 @@ def test_adjoined_root_reduction_in_packed_keys():
     assert t.inverse() == 3 * t and t ** -3 == 9 * t
     assert (t * alpha(0)) ** 2 == alpha(0) ** 2 / 3
     assert (1 + t) * (1 - t) == Fraction(2, 3)
-    assert ExactScalar({pack_monomial(((Symbol(0, False), 1),)): t}) \
-        == alpha(0) * t
+    assert ExactScalar({_pack([(0, 1)]): t}) == alpha(0) * t
     assert str(t ** 3 - alpha_bar(1) * t) == "1/3*t - ab1*t"
     with pytest.raises(ExactDivisionError):
         (t + alpha(0)) / (t + alpha(1))
@@ -466,15 +470,17 @@ def _root_parts(c):
 
 
 def _reference_str(x):
-    """The text form as defined on the ((Symbol, exp), ...) monomials,
+    """The text form as defined on the ((field, exp), ...) monomials,
     each coefficient's t part right after its t-free part."""
     if not x.terms:
         return "0"
     parts = []
     for m, te, part in sorted(
-            (unpack_monomial(k), te, part)
+            (_decode(k), te, part)
             for k, c in x.terms.items() for te, part in _root_parts(c)):
-        factors = [str(s) if e == 1 else "%s^%d" % (s, e) for s, e in m]
+        names = [("ab%d" if f % 2 else "a%d") % (f // 2) for f, _ in m]
+        factors = [s if e == 1 else "%s^%d" % (s, e)
+                   for s, (_, e) in zip(names, m)]
         if te:
             factors.append("t")
         body, cs = "*".join(factors), str(part)
@@ -515,8 +521,35 @@ def test_rendering_matches_the_monomial_reference(x):
     assert str(x) == _reference_str(x)
 
 
+@st.composite
+def _batches(draw):
+    """Scalars, field elements (some carrying t) and zeros, with their sum
+    appended at times, so that values share monomials."""
+    member = st.one_of(
+        _wide_scalars(),
+        st.builds(lambda c, te: gauss(1) * c * t_root(Fraction(2, 7)) ** te,
+                  _coefficients, st.integers(0, 1)),
+        st.sampled_from([ExactScalar(), gauss(0)]))
+    batch = draw(st.lists(member, max_size=5))
+    if batch and draw(st.booleans()):
+        batch.append(sum(batch, ExactScalar()))
+    return batch
+
+
+@settings(max_examples=80, deadline=None)
+@given(_batches())
+@example([])
+@example([alpha(3) * alpha_bar(1) ** -2 - Fraction(1, 2)])
+@example([alpha(0) + t_root(Fraction(2, 7)), gauss(0), alpha(0) - 1])
+def test_batch_rendering_matches_one_value_at_a_time(batch):
+    assert render_batch(batch) == [render_scalar(x) for x in batch]
+    assert render_batch(batch) == [
+        _reference_str(x) if isinstance(x, ExactScalar) else str(x)
+        for x in batch]
+
+
 def test_rendering_survives_a_full_chunk_memo():
-    x = ExactScalar({pack_monomial(((Symbol(j % 9, j % 2 == 1), e),)): e
+    x = ExactScalar({_pack([(2 * (j % 9) + j % 2, e)]): e
                      for j in range(9) for e in range(1, 700)})
     y = alpha(0) * alpha_bar(8) ** 2 - 1
     for _ in range(2):  # the first render fills the memo past its bound

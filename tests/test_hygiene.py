@@ -1,8 +1,9 @@
 """Source hygiene: no module imports a name it never reads, commands write
 only through the one writer, a sequence keeps its memos in `cache`, only
 `sweep` stores a `cache` entry, which nothing removes, only `algebra`
-knows how an exact value is stored, and the oracle's module `core`
-imports nothing of the package but `algebra`."""
+knows how an exact value is stored, the oracle's module `core` imports
+nothing of the package but `algebra`, and no module calls `path_weight`,
+which the tests keep as the weighted walk's check."""
 
 import ast
 from pathlib import Path
@@ -263,3 +264,36 @@ def test_foreign_imports_are_found():
 def test_the_oracle_module_imports_only_algebra():
     core = Path(opuc.__file__).with_name("core.py")
     assert foreign_imports(core.read_text()) == []
+
+
+def path_weight_calls(source):
+    """The line of each call of `paths.path_weight`, by its name, an
+    import alias or an attribute.  Listings form their weights in the
+    one weighted walk; path_weight is the independent check the tests
+    hold the walk to."""
+    tree = ast.parse(source)
+    names = {"path_weight"} | {
+        alias.asname for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "path_weight" and alias.asname}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Name) and node.func.id in names
+                 or isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "path_weight")]
+
+
+def test_path_weight_calls_are_found():
+    source = ("from .paths import path_weight, path_weight as pw\n"
+              "from . import paths\n"
+              "def f(p, vs):\n"
+              "    return (path_weight(p, vs), pw(p, vs),\n"
+              "            paths.path_weight(p, vs), path_weight)\n")
+    assert path_weight_calls(source) == [4, 4, 5]
+
+
+def test_no_module_forms_listing_weights_outside_the_walk():
+    calls = {path.name: path_weight_calls(path.read_text())
+             for path in Path(opuc.__file__).parent.glob("*.py")}
+    assert {name: lines for name, lines in calls.items() if lines} == {}

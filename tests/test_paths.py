@@ -1,21 +1,27 @@
 """Path enumeration, step weights, the DP evaluators, the two
 correspondences, and the coefficient-positivity certificate."""
 
+import collections
+import random
+import struct
 import sys
+from fractions import Fraction
 
 import pytest
 
 from opuc import paths as paths_module
 from opuc.algebra import alpha, alpha_bar, conjugate, values_close
-from opuc.core import moment_oracle
+from opuc.core import VerblunskySequence, moment_oracle
 from opuc.errors import (EnumerationCapExceeded, PositivityViolation,
                          ZeroVerblunsky)
+from opuc.families import FamilySpec, verblunsky_of
 from opuc.paths import (DEFAULT_CAP, LEVEL, UP, VERTICAL, LatticePath,
                         contract_schroder, count_paths, enumerate_paths,
                         gmotzkin_to_lukasiewicz, lukasiewicz_to_gmotzkin,
                         moment_gmotzkin, moment_lukasiewicz, moment_negative,
                         moment_schroder, path_weight, positivity_certificate,
-                        schroder_grouping, schroder_weight_sum)
+                        schroder_grouping, schroder_weight_sum,
+                        weighted_paths)
 
 from .conftest import catalan, generic_vs, numeric_vs
 
@@ -92,6 +98,88 @@ def test_listings_follow_the_recursive_order():
                 for s in range(4):
                     assert ([p.steps for p in enumerate_paths(model, n, r, s)]
                             == _recursive_listing(model, n, r, s))
+
+
+def _dyadic_vs(length=12):
+    """A numeric sequence of nonzero dyadic entries: exact floats, so a
+    product's bits depend only on the order of its factors."""
+    rng = random.Random(5)
+    table = []
+    while len(table) < length:
+        z = complex(rng.randrange(-48, 48), rng.randrange(-48, 48)) / 64
+        if z:
+            table.append(z)
+    return VerblunskySequence.from_table(table, "numeric")
+
+
+def _bits(w):
+    w = complex(w)
+    return struct.pack("<dd", w.real, w.imag)
+
+
+_SMALL = [(model, n, r, s) for model in paths_module.MODELS
+          for n in range(6) for r in range(3) for s in range(3)]
+
+
+@pytest.mark.parametrize("make_vs", [
+    generic_vs,
+    lambda: verblunsky_of(FamilySpec("rogers_szego", Fraction(1, 3))),
+    _dyadic_vs, lambda: numeric_vs(3)],
+    ids=["generic", "rogers_szego", "dyadic", "float"])
+def test_the_weighted_walk_is_the_listing_with_its_path_weights(make_vs):
+    vs = make_vs()
+    for model, n, r, s in _SMALL:
+        pairs = list(weighted_paths(model, n, r, s, vs))
+        assert [p for p, _ in pairs] == enumerate_paths(model, n, r, s)
+        for p, w in pairs:
+            want = path_weight(p, vs)
+            assert w == want, (model, n, r, s, p)
+            if vs.mode == "numeric":
+                assert _bits(w) == _bits(want), (model, n, r, s, p)
+
+
+def _counting_rules(monkeypatch):
+    """Swap each model's step weight rule for one that records the step
+    of every call; returns the Counter of (model, x, y, dx, dy)."""
+    calls = collections.Counter()
+    for model, (rule, weight) in list(paths_module._MODELS.items()):
+        def counted(vs, *step, model=model, weight=weight):
+            calls[(model,) + step] += 1
+            return weight(vs, *step)
+        monkeypatch.setitem(paths_module._MODELS, model, (rule, counted))
+    return calls
+
+
+def test_each_step_weight_is_formed_once_and_only_on_listed_paths(
+        monkeypatch):
+    calls = _counting_rules(monkeypatch)
+    vs = generic_vs()
+    for model, n, r, s in _SMALL:
+        calls.clear()
+        on_paths = set()
+        for p, _ in weighted_paths(model, n, r, s, vs):
+            on_paths |= {(model,) + pt + step
+                         for pt, step in zip(p.points(), p.steps)}
+        assert set(calls) == on_paths, (model, n, r, s)
+        assert max(calls.values(), default=1) == 1, (model, n, r, s)
+    # the parity rule has dead ends: the rise from (1, 3) to (2, 4) keeps
+    # within the slack of gmotzkin (3, 1, 2), but no path runs on from
+    # there, so its weight is never formed
+    calls.clear()
+    start, end, moves, slack = paths_module._MODELS["gmotzkin"][0](3, 1, 2)
+    assert UP in moves(1, 3, False) and slack(2, 4) >= 0
+    assert len(list(weighted_paths("gmotzkin", 3, 1, 2, vs))) == 6
+    assert ("gmotzkin", 1, 3) + UP not in calls
+
+
+def test_a_refused_listing_forms_no_weight(monkeypatch):
+    calls = _counting_rules(monkeypatch)
+    with pytest.raises(EnumerationCapExceeded):
+        weighted_paths("lukasiewicz", 6, 0, 0, generic_vs(), cap=131)
+    assert not calls
+    assert len(list(weighted_paths("lukasiewicz", 6, 0, 0, generic_vs(),
+                                   cap=132))) == 132
+    assert calls
 
 
 def test_a_path_longer_than_the_recursion_limit_is_listed():
