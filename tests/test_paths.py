@@ -2,6 +2,7 @@
 correspondences, and the coefficient-positivity certificate."""
 
 import collections
+import hashlib
 import random
 import struct
 import sys
@@ -385,6 +386,37 @@ def test_numeric_cross_model_grid():
                             moment_gmotzkin(vs, n, r, s),
                             moment_schroder(vs, n, r, s)):
                     assert values_close(got, want), (n, r, s)
+
+
+def _gmotzkin_digest():
+    # every float as its repr and every exact value as its str, so a
+    # change in the last bit or in a term's form changes the digest
+    digest = hashlib.sha256()
+    cells = [(n, r, s) for n in range(61) for r in range(7) for s in range(9)]
+    for seed, radius in ((1, 0.6), (2, 0.9), (3, 0.98)):
+        vs = numeric_vs(seed, length=70, radius=radius)
+        ascending = [repr(moment_gmotzkin(vs, *cell)) for cell in cells]
+        shuffled = list(cells)
+        random.Random(seed).shuffle(shuffled)
+        vs = numeric_vs(seed, length=70, radius=radius)
+        digest.update("\n".join(ascending + [
+            repr(moment_gmotzkin(vs, *cell)) for cell in shuffled]).encode())
+    exact = [verblunsky_of(FamilySpec(tag, Fraction(value)))
+             for tag, value in (("circular_jacobi", "3/2"),
+                                ("rogers_szego", "1/3"),
+                                ("mass_point", "1/2"),
+                                ("geronimus", "1/2"))]
+    for vs in exact + [generic_vs()]:
+        digest.update("\n".join(
+            str(moment_gmotzkin(vs, n, r, s)) for n in range(6)
+            for r in range(4) for s in range(6)).encode())
+    return digest.hexdigest()
+
+
+def test_gmotzkin_values_keep_their_bits():
+    # the golden CLI file prints %.12g, which cannot see the last bit
+    assert _gmotzkin_digest() == (
+        "7977171f922ee989444b080b91b778edf9a6c25379fdbf9f733e1ff804fa2646")
 
 
 def test_drop_model_rejects_zero_coefficient():
