@@ -25,9 +25,10 @@ class VerblunskySequence:
     immutable; the caches only memoize pure functions of the sequence.
     Every table that grows with n (the coefficients, the phi pairs, the
     classical moments, the norms kappa_s under ("kappa",), each path
-    model's columns and the transfer rows) is a list in `cache`, extended
-    by `sweep`; the oracle's product for (r, s) is the one entry of the
-    table ("pairing", r, s), and the theta blocks are not cached.  Entry
+    model's columns, or anti-diagonals for gentle Motzkin, and the
+    transfer rows) is a list in `cache`, extended only by `sweep`; the
+    oracle's product for (r, s) is the one entry of the table
+    ("pairing", r, s), and the theta blocks are not cached.  Entry
     j + 1 of the coefficient table holds (alpha_j, conj(alpha_j), rho_j),
     and `alpha`, `alpha_bar` and `rho` only read it.
     """

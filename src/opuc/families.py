@@ -330,18 +330,14 @@ def geronimus_series(alpha_value, order):
     return f, g
 
 
-def geronimus_gf_moment(alpha_value, n, m, order=None):
+def geronimus_gf_moment(alpha_value, n, m):
     """(n, m) moment of the constant-coefficient family, read off from the
     series solutions of the two functional equations."""
-    if order is None:
-        order = n
-    if order < n:
-        raise ValueError("series order %d is below requested index %d" % (order, n))
     if not alpha_value:
         return 1 if n == m else 0
     if n < m:
         return 0
-    f, g = geronimus_series(alpha_value, order)
+    f, g = geronimus_series(alpha_value, n)
     # [z^n] g(z) (z f(z))^m  =  [z^(n-m)] g(z) f(z)^m
     width = n - m + 1
     h = g[:width]

@@ -250,7 +250,7 @@ def rho_power_product(vs, n):
     return out
 
 
-def det_identity_check(vs, m, n, tol=1e-9):
+def det_identity_check(vs, m, n):
     """Shifted-moment determinant against its generalized-moment factorization.
 
     Left side: det of the (n+1)-square matrix with entry (i, j) the
@@ -276,4 +276,4 @@ def det_identity_check(vs, m, n, tol=1e-9):
 
     rhs_rows = [[gen(m + i, j) for j in range(n + 1)] for i in range(n + 1)]
     rhs = rho_power_product(vs, n) * determinant(ScalarMatrix(rhs_rows), vs.one())
-    return lhs, rhs, values_close(lhs, rhs, tol)
+    return lhs, rhs, values_close(lhs, rhs)

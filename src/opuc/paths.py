@@ -17,8 +17,10 @@ step weight is formed once per listing.  `path_weight` forms a single
 path's product afresh, as the independent check.  The DP evaluators
 keep their own kernels and never read that table.  Each evaluator's
 state is a table per start height, cached on the driving sequence and
-grown one column at a time by `VerblunskySequence.sweep`, so later
-requests reuse the columns already built; no model reads another's.
+grown by `VerblunskySequence.sweep` one column at a time, or for
+gentle Motzkin one anti-diagonal at a time, since a column's height cap
+would depend on the largest n served.  Later requests only append, and
+reuse the entries already built; no model reads another's.
 
 All step weights live in the coefficient ring of the driving
 VerblunskySequence, so a single code path serves both exact symbolic and
@@ -379,57 +381,49 @@ def moment_gmotzkin(vs, n, r, s):
     """Same moment via the parity-constrained width-1 model."""
     if min(n, r, s) < 0:
         raise ValueError("indices must be nonnegative")
-    x_end = 2 * n - s
-    if x_end < -r or s > r + n:
+    if s > r + n:
         return vs.zero()
-    # column t holds heights 0..min(r + t, 2*top + r - t): the rise bound,
-    # and what can still descend to the endpoint of top, the largest n
-    # served.  A cell reads only heights y - 1..y + 1 of column t - 1, so
-    # no stored cell changes when top grows: the table is kept, each
-    # column's cap is raised from t = 1 up, and then new columns are
-    # appended.  A raised column is a new list rather than `+=`, which
-    # would leave over-allocated slots in every column of the table.
-    key = ("gm_cols", r)
-    cols = vs.cache.get(key)
-    if cols is not None and len(cols) <= 2 * n + r:
-        for t in range(1, len(cols)):
-            col = cols[t]
-            cols[t] = col + _gm_cells(vs, cols[t - 1], t - 1 - r, len(col),
-                                      min(r + t, 2 * n + r - t))
-    col = vs.sweep(key, 2 * n + r, _gm_step, r, n)[x_end + r]
-    return col[s] if s < len(col) else vs.zero()
+    return vs.sweep(("gm_diags", r), 2 * n + r, _gm_step, r)[2 * n + r][s]
 
 
-def _gm_step(vs, cols, r, top):
-    if not cols:
-        return _unit_column(vs, r)
-    t = len(cols)
-    return _gm_cells(vs, cols[-1], t - 1 - r, 0, min(r + t, 2 * top + r - t))
-
-
-def _gm_cells(vs, col, x, lo, hmax):
-    # heights lo..hmax of the column after col, whose abscissa is x
-    h = len(col)
+def _gm_step(vs, diags, r):
+    # anti-diagonal d holds the cells (t, y) with t + y = d, where column t
+    # sits at abscissa t - r, by height y up to the rise bound y <= r + t;
+    # the end (2n - s, s) of every moment of n lies on d = 2n + r.  A cell
+    # reads the cell one lower on d - 2 (a rise), the same height on d - 1
+    # (a level step) and one higher on d (a fall), so heights run downward.
+    # A point on diagonal e has x + y = e - r, whose parity picks its
+    # steps: d takes rises when d - r is even and falls when it is odd.
+    d = len(diags)
     zero = vs.zero()
-    new = [zero] * (hmax + 1 - lo)
-    for y in range(lo, hmax + 1):
+    new = [zero] * (min(d, (r + d) // 2) + 1)
+    if d <= r:
+        # no step reaches a cell before the start (0, r)
+        if d == r:
+            new[r] = vs.one()
+        return new
+    rises = (d - r) % 2 == 0
+    below = diags[d - 2] if rises else ()
+    beside = diags[d - 1]
+    for y in range(len(new) - 1, -1, -1):
         acc = zero
-        if 1 <= y <= h and (x + y - 1) % 2 == 0:
-            v = col[y - 1]
-            if v:
-                acc = acc + v
-        if y + 1 < h and (x + y + 1) % 2 == 1:
-            v = col[y + 1]
+        if rises:
+            if y:
+                v = below[y - 1]
+                if v:
+                    acc = acc + v
+        elif y + 1 < len(new):
+            v = new[y + 1]
             if v:
                 acc = acc + vs.rho(y) * v
-        if y < h:
-            v = col[y]
+        if y < len(beside):
+            v = beside[y]
             if v:
-                if (x + y) % 2 == 0:
-                    acc = acc + vs.alpha(y) * v
-                else:
+                if rises:
                     acc = acc - vs.alpha_bar(y - 1) * v
-        new[y - lo] = acc
+                else:
+                    acc = acc + vs.alpha(y) * v
+        new[y] = acc
     return new
 
 

@@ -383,11 +383,6 @@ def test_gf_moment_at_boundary_parameter_has_binomial_form():
         assert geronimus_gf_moment(1, n, 0) == 1
 
 
-def test_gf_moment_lower_order_is_rejected():
-    with pytest.raises(ValueError):
-        geronimus_gf_moment(Fraction(1, 2), 4, 0, order=3)
-
-
 def test_gf_moment_zero_parameter_short_circuits():
     assert geronimus_gf_moment(0, 3, 3) == 1
     assert geronimus_gf_moment(0, 3, 1) == 0

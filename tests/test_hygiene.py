@@ -1,9 +1,10 @@
 """Source hygiene: no module imports a name it never reads, commands write
 only through the one writer, a sequence keeps its memos in `cache`, only
-`sweep` stores a `cache` entry, which nothing removes, only `algebra`
-knows how an exact value is stored, the oracle's module `core` imports
-nothing of the package but `algebra`, and no module calls `path_weight`,
-which the tests keep as the weighted walk's check."""
+`sweep` stores a `cache` entry, which nothing removes, no module but
+`core` reads `cache` at all, so no table is edited under an alias, only
+`algebra` knows how an exact value is stored, the oracle's module `core`
+imports nothing of the package but `algebra`, and no module calls
+`path_weight`, which the tests keep as the weighted walk's check."""
 
 import ast
 from pathlib import Path
@@ -124,39 +125,43 @@ def test_sequence_holds_no_memo_outside_its_cache():
         {"mode", "source", "_accessor", "cache"}, [])
 
 
+def scoped_nodes(tree, where=""):
+    """(function, node) for every node under tree, in source order;
+    function names are dotted paths from the module, so a method reads
+    `Class.method`, and module-level code reads ''."""
+    for child in ast.iter_child_nodes(tree):
+        name = where
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            name = "%s.%s" % (where, child.name) if where else child.name
+        yield name, child
+        yield from scoped_nodes(child, name)
+
+
+def is_cache(node):
+    return isinstance(node, ast.Attribute) and node.attr == "cache"
+
+
 def cache_edits(source):
     """(function, edit) for each statement that deletes, pops, clears or
-    assigns an entry of a `.cache`; function names are dotted paths from
-    the module, so a method reads `Class.method`."""
+    assigns an entry of a `.cache`."""
     found = []
-
-    def is_cache(node):
-        return isinstance(node, ast.Attribute) and node.attr == "cache"
-
-    def visit(node, where):
-        for child in ast.iter_child_nodes(node):
-            name = where
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-                name = "%s.%s" % (where, child.name) if where else child.name
-            targets, edit = [], None
-            if isinstance(child, ast.Delete):
-                targets, edit = child.targets, "del"
-            elif isinstance(child, ast.Assign):
-                targets, edit = child.targets, "assign"
-            elif isinstance(child, ast.AugAssign):
-                targets, edit = [child.target], "assign"
-            if any(isinstance(sub, ast.Subscript) and is_cache(sub.value)
-                   and isinstance(sub.ctx, (ast.Store, ast.Del))
-                   for target in targets for sub in ast.walk(target)):
-                found.append((name, edit))
-            if (isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Attribute)
-                    and child.func.attr in ("pop", "clear")
-                    and is_cache(child.func.value)):
-                found.append((name, "." + child.func.attr))
-            visit(child, name)
-
-    visit(ast.parse(source), "")
+    for name, node in scoped_nodes(ast.parse(source)):
+        targets, edit = [], None
+        if isinstance(node, ast.Delete):
+            targets, edit = node.targets, "del"
+        elif isinstance(node, ast.Assign):
+            targets, edit = node.targets, "assign"
+        elif isinstance(node, ast.AugAssign):
+            targets, edit = [node.target], "assign"
+        if any(isinstance(sub, ast.Subscript) and is_cache(sub.value)
+               and isinstance(sub.ctx, (ast.Store, ast.Del))
+               for target in targets for sub in ast.walk(target)):
+            found.append((name, edit))
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("pop", "clear")
+                and is_cache(node.func.value)):
+            found.append((name, "." + node.func.attr))
     return found
 
 
@@ -184,6 +189,41 @@ def test_sweep_tables_only_grow():
     edits = [(path.stem,) + edit for path in MODULES
              for edit in cache_edits(path.read_text())]
     assert edits == [("core", "VerblunskySequence.sweep", "assign")]
+
+
+def cache_reads(source):
+    """(module, function) for each `.cache` read outside `core`, for a
+    {module name: source} map; `functools.cache` is not a sequence's.
+    cache_edits sees only edits made through `.cache` itself, so a table
+    fetched from it and edited under an alias needs this check."""
+    found = []
+    for module, text in sorted(source.items()):
+        if module == "core":
+            continue
+        for name, node in scoped_nodes(ast.parse(text)):
+            if is_cache(node) and not (isinstance(node.value, ast.Name)
+                                       and node.value.id == "functools"):
+                found.append((module, name))
+    return found
+
+
+def test_cache_reads_are_found():
+    source = {
+        "core": "def sweep(self, key):\n    return self.cache.get(key)\n",
+        "paths": ("import functools\n"
+                  "step = functools.cache(len)\n"
+                  "def moment(vs, key):\n"
+                  "    cols = vs.cache.get(key)\n"
+                  "    cols[0] = 1\n"),
+        "cli": "class C:\n    def f(self, vs):\n        return len(vs.cache)\n",
+    }
+    assert cache_reads(source) == [("cli", "C.f"), ("paths", "moment")]
+
+
+def test_only_core_reads_a_sequence_cache():
+    # sweep is the one way to a table, so it is the one way a table grows
+    source = {path.stem: path.read_text() for path in MODULES}
+    assert cache_reads(source) == []
 
 
 # an ExactScalar's term table, and the parts of a GaussianRational with

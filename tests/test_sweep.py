@@ -77,7 +77,7 @@ def _count_coefficient_reads(vs):
 
 
 def test_growing_the_gmotzkin_table_never_computes_a_cell_twice():
-    # n ascending raises the kept columns: the table and its stored cells
+    # n ascending appends anti-diagonals: the table and its stored cells
     # stay, and the ascending run reads exactly the coefficients that one
     # fresh call at the top reads
     top = 12
@@ -88,17 +88,17 @@ def test_growing_the_gmotzkin_table_never_computes_a_cell_twice():
         for r in range(4):
             for s in range(4):
                 moment_gmotzkin(vs, n, r, s)
-            table = vs.cache[("gm_cols", r)]
+            table = vs.cache[("gm_diags", r)]
             if r in kept:
                 before, cells = kept[r]
                 assert table is before, (n, r)
-                assert all(all(a is b for a, b in zip(col, old))
-                           for col, old in zip(table, cells)), (n, r)
-            kept[r] = table, [list(col) for col in table]
+                assert all(all(a is b for a, b in zip(diag, old))
+                           for diag, old in zip(table, cells)), (n, r)
+            kept[r] = table, [list(diag) for diag in table]
     fresh = numeric_vs(5)
     fresh_calls = _count_coefficient_reads(fresh)
     for r in range(4):
         for s in range(4):
             moment_gmotzkin(fresh, top, r, s)
-        assert vs.cache[("gm_cols", r)] == fresh.cache[("gm_cols", r)], r
+        assert vs.cache[("gm_diags", r)] == fresh.cache[("gm_diags", r)], r
     assert sorted(calls) == sorted(fresh_calls)
