@@ -1,7 +1,9 @@
 """Coefficient sequences, the polynomial recurrences, the moment
 functional, and the inner-product oracle."""
 
+import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -413,3 +415,60 @@ def test_kappa_table_is_the_rho_product():
     for s, value in enumerate(table):
         assert _bits(value) == _bits(vs.rho_product(0, s))
         assert kappa(vs, s) is value
+
+
+# the golden CLI file prints %.12g, which cannot see the last bit: a
+# SHA-256 over every float's repr (phi's items in key order, the oracle at
+# +-n, the transfer walk asked ascending and shuffled) and every exact
+# value's str.  One table has zero alphas; the dyadic one cancels
+# coefficients of phi exactly
+
+ZERO_ALPHAS = [0.5, 0, -0.3j, 0, 0, 0.25 + 0.6j, 0] * 4
+CANCELLING = [-0.25, 0.5, -0.25, 0.25, 0.25, 0.25, 0.25, -0.5] * 3
+
+
+def _bit_tables():
+    yield numeric_vs(1, length=24, radius=0.6)
+    yield numeric_vs(2, length=24, radius=0.98)
+    for table in (ZERO_ALPHAS, CANCELLING):
+        yield VerblunskySequence.from_table(table, NUMERIC)
+
+
+def _phi_oracle_u_walk_digest():
+    digest = hashlib.sha256()
+    oracle = [(n, r, s) for n in range(-12, 13) for r in range(5)
+              for s in range(6)]
+    walk = [(n, r, s) for n in range(13) for r in range(5)
+            for s in range(8)]
+    for seed, vs in enumerate(_bit_tables()):
+        lines = []
+        for n in range(24):
+            pair = phi(vs, n)
+            lines += [repr(list(pair.phi.coeffs.items())),
+                      repr(list(pair.phi_star.coeffs.items()))]
+        lines += [repr(moment_oracle(vs, *cell)) for cell in oracle]
+        lines += [repr(u_power_entry(vs, *cell)) for cell in walk]
+        shuffled = list(walk)
+        random.Random(seed).shuffle(shuffled)
+        fresh = VerblunskySequence.from_function(vs.alpha, NUMERIC)
+        lines += [repr(u_power_entry(fresh, *cell)) for cell in shuffled]
+        digest.update("\n".join(lines).encode())
+    exact = VerblunskySequence.from_table(
+        [Fraction(1, 2), 0, gauss(Fraction(1, 3), Fraction(-1, 5)),
+         Fraction(-1, 2), gauss(0, Fraction(3, 4)), 0, Fraction(1, 9)] * 2,
+        SYMBOLIC)
+    for vs in (exact, generic_vs()):
+        lines = [str([(k, str(c)) for k, c in poly.coeffs.items()])
+                 for n in range(6)
+                 for poly in (phi(vs, n).phi, phi(vs, n).phi_star)]
+        lines += [str(moment_oracle(vs, n, r, s)) for n in range(-4, 5)
+                  for r in range(3) for s in range(4)]
+        lines += [str(u_power_entry(vs, n, r, s)) for n in range(5)
+                  for r in range(3) for s in range(6)]
+        digest.update("\n".join(lines).encode())
+    return digest.hexdigest()
+
+
+def test_phi_oracle_and_u_walk_keep_their_bits():
+    assert _phi_oracle_u_walk_digest() == (
+        "16008d913b1ae55d913eb699e448ac0c55fb814b4b0a95a3cfb4faeed29ee9ff")
