@@ -1034,6 +1034,27 @@ class LaurentPoly:
         return LaurentPoly({k + d: c for k, c in self.coeffs.items()},
                            self.mode)
 
+    def minus_scaled(self, other, c, d):
+        """self - c * z**d * other in one dict, with the keys, products
+        and sums of `self - other.shift(d).scale(c)`: self's keys first,
+        then other's new ones in other's order."""
+        self._check(other)
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            t = v * c
+            if not t:
+                continue
+            k += d
+            acc = out.get(k)
+            acc = -t if acc is None else acc + (-t)
+            if not acc:
+                out.pop(k, None)
+            else:
+                out[k] = acc
+        poly = LaurentPoly.__new__(LaurentPoly)
+        poly.coeffs, poly.mode = out, self.mode
+        return poly
+
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented

@@ -226,6 +226,49 @@ def _render(value):
 _VALUE_HEADER = ("n", "r", "s", "method", "value", "elapsed_ms")
 
 
+_NESTED = (dict, list, tuple)
+
+
+def _json_text(value, pad=""):
+    """json.dumps(value, indent=2, sort_keys=True), nested at `pad`, for
+    a value whose objects have string keys.
+
+    With indent set, json skips its C encoder.  So an object holding no
+    container is C-encoded with the newline and padding of the indented
+    form as its item separator, and a list of such objects, a listing's
+    records, in one call whose record boundaries are then re-padded.
+    """
+    if not isinstance(value, _NESTED) or not value:
+        return json.dumps(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if any(isinstance(v, _NESTED) for v in value.values()):
+            body = sep.join("%s: %s" % (json.dumps(k),
+                                        _json_text(value[k], inner))
+                            for k in sorted(value))
+        else:
+            body = _encoder(sep).encode(value)[1:-1]
+        return "{\n%s%s\n%s}" % (inner, body, pad)
+    if all(type(v) is dict and v for v in value) and not any(
+            isinstance(x, _NESTED) for v in value for x in v.values()):
+        # no scalar's text ends in "}" and no text holds a raw newline,
+        # so "},\n{" marks exactly the boundaries between records
+        deep = inner + "  "
+        body = _encoder(",\n").encode(value)[2:-2].replace(
+            ",\n", ",\n" + deep).replace(
+            "},\n%s{" % deep, "\n%s},\n%s{\n%s" % (inner, inner, deep))
+        return "[\n%s{\n%s%s\n%s}\n%s]" % (inner, deep, body, inner, pad)
+    return "[\n%s%s\n%s]" % (inner, sep.join(_json_text(v, inner)
+                                             for v in value), pad)
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder(sep):
+    # one C encoder per separator: json.dumps builds a new one every call
+    return json.JSONEncoder(sort_keys=True, separators=(sep, ": "))
+
+
 def _write(args, mode, results, checks, lines, table=(), extra=()):
     """Write one command's report in the format --format names.
 
@@ -244,7 +287,7 @@ def _write(args, mode, results, checks, lines, table=(), extra=()):
         echo.update(extra)
         doc = {"schema_version": SCHEMA_VERSION, "config_echo": echo,
                "results": results, "checks": checks}
-        text_out = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text_out = _json_text(doc) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
         csv.writer(buf).writerows(table)

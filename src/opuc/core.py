@@ -25,12 +25,14 @@ class VerblunskySequence:
     immutable; the caches only memoize pure functions of the sequence.
     Every table that grows with n (the coefficients, the phi pairs, the
     classical moments, the norms kappa_s under ("kappa",), each path
-    model's columns, or anti-diagonals for gentle Motzkin, and the
-    transfer rows) is a list in `cache`, extended only by `sweep`; the
-    oracle's product for (r, s) is the one entry of the table
-    ("pairing", r, s), and the theta blocks are not cached.  Entry
-    j + 1 of the coefficient table holds (alpha_j, conj(alpha_j), rho_j),
-    and `alpha`, `alpha_bar` and `rho` only read it.
+    model's columns, or anti-diagonals for gentle Motzkin, the transfer
+    rows and, under ("u_walk", r), row r of each power of U) is a list in
+    `cache`, extended only by `sweep`; the oracle's product for (r, s),
+    as its items in key order with its valuation and degree, is the one
+    entry of the table ("pairing", r, s), and the theta blocks are not
+    cached.  Entry j + 1 of the coefficient table holds
+    (alpha_j, conj(alpha_j), rho_j), and `alpha`, `alpha_bar` and `rho`
+    only read it.
     """
 
     def __init__(self, accessor, mode, source="table"):
@@ -145,8 +147,8 @@ def _phi_step(vs, pairs):
         return PhiPair(0, LaurentPoly.one(vs.mode), LaurentPoly.one(vs.mode))
     k, last = len(pairs) - 1, pairs[-1]
     zp = last.phi.shift(1)
-    return PhiPair(k + 1, zp - last.phi_star.scale(vs.alpha_bar(k)),
-                   last.phi_star - zp.scale(vs.alpha(k)))
+    return PhiPair(k + 1, zp.minus_scaled(last.phi_star, vs.alpha_bar(k), 0),
+                   last.phi_star.minus_scaled(last.phi, vs.alpha(k), 1))
 
 
 def reverse(f, declared_degree):
@@ -211,20 +213,14 @@ def _moment_pair_step(vs, pairs):
 
 def functional_eval(vs, f):
     """Apply L to a Laurent polynomial: L(z^k) = mu_{-k}."""
-    return _functional_shifted(vs, f, 0)
-
-
-def _functional_shifted(vs, f, d):
-    # L(z^-d f), summed in f's key order
     if f.is_zero:
         return zero_of(vs.mode)
-    need = max(abs(f.valuation() - d), abs(f.degree() - d))
     # reads the (mu_n, mu_{-n}) table in place: splitting it as
     # moments_from_phis does costs O(need) on every call
-    pairs = vs.sweep(("moments",), need, _moment_pair_step)
+    pairs = vs.sweep(("moments",), max(-f.valuation(), f.degree()),
+                     _moment_pair_step)
     out = zero_of(vs.mode)
     for k, c in f.coeffs.items():
-        k -= d
         out = out + c * (pairs[k][1] if k >= 0 else pairs[-k][0])
     return out
 
@@ -236,11 +232,14 @@ def inner_product(vs, f, g):
 
 def normalized_pairing(vs, s, g):
     """<phi_s, g> / <phi_s, phi_s>; a zero norm raises ValueError."""
-    return _over_norm(vs, s, inner_product, phi(vs, s).phi, g)
+    f = phi(vs, s).phi
+    norm = _norm(vs, s)
+    return inner_product(vs, f, g) / norm
 
 
-def _over_norm(vs, s, pairing, *args):
-    # pairing(vs, *args) / kappa_s, the norm checked first
+def _norm(vs, s):
+    # kappa_s, which the oracle divides by, or a ValueError naming why
+    # it is 0
     norm = kappa(vs, s)
     if not norm:
         zeros = [j for j in range(s) if not vs.rho(j)]
@@ -248,7 +247,7 @@ def _over_norm(vs, s, pairing, *args):
             "the oracle divides by <phi_%d, phi_%d>, which is 0: %s"
             % (s, s, "rho_%d = 0" % zeros[0] if zeros
                else "the product of rho_j underflows"))
-    return pairing(vs, *args) / norm
+    return norm
 
 
 def moment_oracle(vs, n, r, s):
@@ -260,17 +259,29 @@ def moment_oracle(vs, n, r, s):
     without reading the norm's alpha_{r+n}..alpha_{s-1}.
 
     The product P = phi_s(z) * conj(phi_r)(1/z) does not depend on n:
-    <phi_s, z^n phi_r> = L(z^-n P).  P is built once per (r, s) and kept
-    in the sweep table ("pairing", r, s); each n then reads the moment
-    table at offset -n, with the floats of a fresh product, in its order.
+    <phi_s, z^n phi_r> = L(z^-n P).  P is built once per (r, s), and the
+    sweep table ("pairing", r, s) keeps its (k, c) items in P's key
+    order with its valuation and degree; each n then reads kappa_s, sums
+    the items against the moment table at offset -n, with the floats of
+    a fresh product, in its order, and divides.
     """
     if r < 0 or s < 0:
         raise ValueError("r and s must be >= 0")
     if n >= 0 and s > r + n:
         return vs.zero()
-    product = vs.sweep(("pairing", r, s), 0, _pairing_step, r, s)[0]
-    return _over_norm(vs, s, _functional_shifted, product, n)
+    items, lo, hi = vs.sweep(("pairing", r, s), 0, _pairing_step, r, s)[0]
+    norm = _norm(vs, s)
+    pairs = vs.sweep(("moments",), max(n - lo, hi - n), _moment_pair_step)
+    out = vs.zero()
+    for k, c in items:
+        k -= n
+        out = out + c * (pairs[k][1] if k >= 0 else pairs[-k][0])
+    return out / norm
 
 
 def _pairing_step(vs, table, r, s):
-    return phi(vs, s).phi * bar_inverse_substitute(phi(vs, r).phi)
+    # P's items in key order, its valuation and its degree; P is never 0:
+    # its top term is phi_s's leading 1 times the conjugate of phi_r's
+    # lowest nonzero coefficient, and no other product lands there
+    p = phi(vs, s).phi * bar_inverse_substitute(phi(vs, r).phi)
+    return list(p.coeffs.items()), p.valuation(), p.degree()

@@ -3,14 +3,18 @@
 The (r, s) entry of the n-th power of the one-step transfer matrix U is
 a generalized moment, and so is the (r, s) entry of a product of
 two-band factors built from 2x2 blocks, one per column of the parity
-model.  Only row r is read, so both routes walk a row vector: O(n*d^2)
-on the Hessenberg U, O(d) per factor and O(n*d) in all for the blocks,
-with d = r + n + 1.  Sums keep the order of `ScalarMatrix.__mul__`, so
-a walk equals the entry of the dense product exactly.
+model.  Only row r is read, so both routes walk a row vector: O(d^2) per
+step on the Hessenberg U, O(d) per factor and O(n*d) in all for the
+blocks, with d = r + n + 1.  Sums keep the order of
+`ScalarMatrix.__mul__`, so a walk equals the entry of the dense product
+exactly.
 
-U's rows do not depend on d, so each sequence sweeps them once
-(`VerblunskySequence.sweep`) and every walk reuses them; the blocks are
-not cached, as each walk reads them off the coefficient table.
+U's rows do not depend on d, and row r of U^m does not depend on n, so
+each sequence sweeps both (`VerblunskySequence.sweep`): ("u_rows",) and
+("u_walk", r), one step of the walk per entry, and a row of moments
+asked with n ascending costs one step per n.  The blocks are not cached,
+as each walk reads them off the coefficient table, and neither is the
+block walk, which drops blocks too high to come back to s in time.
 
 Determinants are taken by fraction-free elimination, which is exact over
 the symbolic coefficient ring and also serves the numeric mode.
@@ -105,30 +109,34 @@ def build_U(vs, dim):
 def u_power_entry(vs, n, r, s):
     """Generalized moment as the (r, s) entry of the n-th transfer power.
 
-    The row vector e_r is multiplied by U n times; the last product
-    needs column s alone.  Truncating at dimension r + n + 1 is enough: a
-    walk from height r with n unit-width steps stays below that.
+    Entry n of the sequence's ("u_walk", r) table is row r of U^n, so a
+    row of moments asked with n ascending multiplies by U once per n.
     """
     if min(n, r, s) < 0:
         raise ValueError("indices must be nonnegative")
-    dim = r + n + 1
-    if n == 0 or s >= dim:
-        return vs.one() if (n, s) == (0, r) else vs.zero()
-    u = vs.sweep(("u_rows",), dim - 1, _u_row)
-    row = [vs.zero()] * dim
-    row[r] = vs.one()
-    for step in range(n, 0, -1):
-        out = [vs.zero()] * dim
-        for k, a in enumerate(row):
-            if not a:
-                continue
-            uk = u[k]  # ends at column k + 1: U is lower Hessenberg
-            for j in range(min(k + 2, s + 1 if step == 1 else dim)):
-                b = uk[j]
-                if b:
-                    out[j] = out[j] + a * b
-        row = out
-    return row[s]
+    if s > r + n:
+        return vs.zero()
+    return vs.sweep(("u_walk", r), n, _u_walk_step, r)[n][s]
+
+
+def _u_walk_step(vs, walk, r):
+    # row r of U^m through height r + m, the last it reaches: e_r, then
+    # the row before times U, summed k ascending as `ScalarMatrix.__mul__`
+    # sums; it reads U's rows, so alphas, only below height r + m
+    m = len(walk)
+    if not m:
+        return [vs.zero()] * r + [vs.one()]
+    u = vs.sweep(("u_rows",), r + m - 1, _u_row)
+    out = [vs.zero()] * (r + m + 1)
+    for k, a in enumerate(walk[-1]):
+        if not a:
+            continue
+        uk = u[k]  # ends at column k + 1: U is lower Hessenberg
+        for j in range(k + 2):
+            b = uk[j]
+            if b:
+                out[j] = out[j] + a * b
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -391,6 +391,24 @@ def test_paths_json_format(capsys):
     assert total["kind"] == "total" and total["count"] == 5
 
 
+@pytest.mark.parametrize("doc", [
+    {}, [], (), 0, "", None,
+    {"b": [], "a": {}, "c": [[], {}, ()]},
+    {"z": {"y": [1, [2, {"k": None, "t": True, "f": False}]]}, "a": (1,)},
+    [{"re": 0.1 + 0.2, "im": -0.0, "tiny": 5e-324, "big": 1e300},
+     [float("nan"), float("inf"), -float("inf")], {"n": 2 ** 70}],
+    {"sym": "éü☃\U0001d6fc", "esc": "tab\tquote\"\\\n",
+     "nested": {"α": ["é", {"ü": 1}]}},
+    {"results": [{"b": "},\n{", "a": "}"}, {"a": "{},", "c": None},
+                 {"z": 1.5}], "one": [{"k": "v"}]},
+    [[{"a": 1}, {}], [{"a": 1}, {"b": [2]}], [{"a": 1}, 2], ({"a": ()},)],
+], ids=["empty-object", "empty-list", "empty-tuple", "int", "empty-string",
+        "null", "empty-leaves", "nested", "floats", "non-ascii", "records",
+        "not-records"])
+def test_json_text_is_the_indented_encoding(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
 # ---------------------------------------------------------------------------
 # family subcommand
 

@@ -64,14 +64,15 @@ def test_numeric_mode_rejects_coefficients_outside_the_disk():
 
 
 # route -> the highest alpha index it may read for mu(n, r, s): the
-# forward walks stay below height r + n + 1, the mirrored walk runs from
-# s to r, and the oracle (n >= 0 here) reads phi_s and its norm kappa_s
-# (rho_0 .. rho_{s-1}) only when s <= r + n
+# forward walks stay below height r + n + 1, the U walk reads U's rows
+# only below the height r + n its last row reaches, the mirrored walk
+# runs from s to r, and the oracle (n >= 0 here) reads phi_s and its
+# norm kappa_s (rho_0 .. rho_{s-1}) only when s <= r + n
 READ_BOUNDS = {
     moment_lukasiewicz: lambda n, r, s: r + n,
     moment_gmotzkin: lambda n, r, s: r + n,
     moment_schroder: lambda n, r, s: r + n,
-    u_power_entry: lambda n, r, s: r + n,
+    u_power_entry: lambda n, r, s: r + n - 1,
     cmv_walk_entry: lambda n, r, s: r + n,
     moment_negative: lambda n, r, s: max(r, s) + n,
     moment_oracle: lambda n, r, s: r + n,

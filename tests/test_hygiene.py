@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never reads, commands write
 only through the one writer, a sequence keeps its memos in `cache`, only
 `sweep` stores a `cache` entry, which nothing removes, no module but
-`core` reads `cache` at all, so no table is edited under an alias, only
+`core` reads `cache` at all, so no table is edited under an alias, each
+sweep table's key name is grown by one step function, only
 `algebra` knows how an exact value is stored, the oracle's module `core`
 imports nothing of the package but `algebra`, and no module calls
 `path_weight`, which the tests keep as the weighted walk's check."""
@@ -224,6 +225,56 @@ def test_only_core_reads_a_sequence_cache():
     # sweep is the one way to a table, so it is the one way a table grows
     source = {path.stem: path.read_text() for path in MODULES}
     assert cache_reads(source) == []
+
+
+def sweep_growers(source):
+    """{key name: steps} over the `sweep` calls of a {module name: source}
+    map: the key name is the string leading the key tuple (None if there
+    is none) and each step reads `module.function`."""
+    found = {}
+    for module, text in sorted(source.items()):
+        for node in ast.walk(ast.parse(text)):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "sweep"):
+                continue
+            named = {kw.arg: kw.value for kw in node.keywords}
+            key = node.args[0] if node.args else named.get("key")
+            step = node.args[2] if len(node.args) > 2 else named.get("step")
+            lead = (key.elts[0] if isinstance(key, ast.Tuple) and key.elts
+                    else None)
+            name = (lead.value if isinstance(lead, ast.Constant)
+                    and isinstance(lead.value, str) else None)
+            found.setdefault(name, set()).add(
+                "%s.%s" % (module, ast.unparse(step) if step else None))
+    return found
+
+
+def test_sweep_growers_are_found():
+    source = {
+        "core": ("def f(vs, j):\n"
+                 "    return vs.sweep(('coefficients',), j, _coef)\n"),
+        "paths": ("def g(vs, n, r, key):\n"
+                  "    vs.sweep(('rows', r), n, _a, r)\n"
+                  "    vs.sweep(('rows', r + 1), n, step=_b)\n"
+                  "    vs.sweep(('coefficients',), n, _coef)\n"
+                  "    vs.sweep(key, n, _c)\n"
+                  "    return vs.sweep(('x',), n, _a)\n"),
+    }
+    assert sweep_growers(source) == {
+        "coefficients": {"core._coef", "paths._coef"},
+        "rows": {"paths._a", "paths._b"}, None: {"paths._c"},
+        "x": {"paths._a"}}
+
+
+def test_each_sweep_table_is_grown_by_one_step():
+    # a key name is one table's; a second step growing it would interleave
+    # entries of two different rules
+    source = {path.stem: path.read_text() for path in MODULES}
+    growers = sweep_growers(source)
+    assert None not in growers
+    assert {name: steps for name, steps in growers.items()
+            if len(steps) != 1} == {}
 
 
 # an ExactScalar's term table, and the parts of a GaussianRational with

@@ -1,6 +1,7 @@
 """The per-sequence tables: `VerblunskySequence.sweep`, and results that do
 not depend on the order in which a sequence's tables were grown."""
 
+import operator
 from functools import partial
 
 import pytest
@@ -101,4 +102,32 @@ def test_growing_the_gmotzkin_table_never_computes_a_cell_twice():
         for s in range(4):
             moment_gmotzkin(fresh, top, r, s)
         assert vs.cache[("gm_diags", r)] == fresh.cache[("gm_diags", r)], r
+    assert sorted(calls) == sorted(fresh_calls)
+
+
+def test_growing_the_u_walk_never_computes_a_row_twice():
+    # n ascending appends rows of U^n: the table and its stored rows stay,
+    # and the ascending run reads exactly the coefficients that one fresh
+    # call at the top reads
+    top = 12
+    vs = numeric_vs(5)
+    calls = _count_coefficient_reads(vs)
+    kept = {}
+    for n in range(top + 1):
+        for r in range(4):
+            for s in range(4):
+                u_power_entry(vs, n, r, s)
+            table = vs.cache[("u_walk", r)]
+            if r in kept:
+                before, rows = kept[r]
+                assert table is before, (n, r)
+                assert all(row is old and all(map(operator.is_, row, cells))
+                           for row, (old, cells) in zip(table, rows)), (n, r)
+            kept[r] = table, [(row, list(row)) for row in table]
+    fresh = numeric_vs(5)
+    fresh_calls = _count_coefficient_reads(fresh)
+    for r in range(4):
+        for s in range(4):
+            u_power_entry(fresh, top, r, s)
+        assert vs.cache[("u_walk", r)] == fresh.cache[("u_walk", r)], r
     assert sorted(calls) == sorted(fresh_calls)
