@@ -265,7 +265,8 @@ def _json_text(value, pad=""):
 
 @functools.lru_cache(maxsize=None)
 def _encoder(sep):
-    # one C encoder per separator: json.dumps builds a new one every call
+    # one C encoder per depth of a report: json.dumps builds a new encoder
+    # on every call that passes separators
     return json.JSONEncoder(sort_keys=True, separators=(sep, ": "))
 
 
