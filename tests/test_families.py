@@ -1,6 +1,7 @@
 """Named coefficient families: sequences, closed moment formulas, and the
 generating-function route for the constant-coefficient family."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -412,3 +413,62 @@ def test_constant_family_polynomial_coefficients_complex():
         for i in range(n + 1):
             assert values_close(pair.phi.coeff(i),
                                 geronimus_phi_coeff(a, n, i)), (n, i)
+
+
+# ---------------------------------------------------------------------------
+# the bits of every family's outputs
+
+# one exact and one float parameter per family, and the exact parameter
+# that has only a numeric sequence
+PINNED_SPECS = [
+    ("geronimus", GaussianRational(Fraction(1, 3), Fraction(-1, 4))),
+    ("geronimus", 0.3 + 0.4j),
+    ("bernstein_szego", BS_ZETA),
+    ("bernstein_szego", -0.35 + 0.2j),
+    ("mass_point", Fraction(1, 2)),
+    ("mass_point", 0.3),
+    ("circular_jacobi", Fraction(3, 2)),
+    ("circular_jacobi", -0.4),
+    ("single_nontrivial", 1),
+    ("single_nontrivial", Fraction(1, 2)),
+    ("single_nontrivial", 0.7),
+    ("rogers_szego", Fraction(1, 3)),
+    ("rogers_szego", 0.45),
+    ("al_salam_carlitz", Fraction(1, 3)),
+    ("al_salam_carlitz", 0.6),
+]
+
+
+def _pinned(fn, *args):
+    try:
+        x = fn(*args)
+    except UnsupportedFamily as exc:
+        return "UnsupportedFamily: %s" % exc
+    return "%s %r" % (type(x).__name__, x)
+
+
+def _families_digest():
+    digest = hashlib.sha256()
+    for tag, value in PINNED_SPECS:
+        spec = _spec(tag, value)
+        for mode in (None, NUMERIC, SYMBOLIC):
+            lines = [repr(spec), str(mode)]
+            try:
+                vs = verblunsky_of(spec, mode)
+            except UnsupportedFamily as exc:
+                lines.append("UnsupportedFamily: %s" % exc)
+            else:
+                lines += [_pinned(vs.alpha, j) for j in range(14)]
+            lines += [_pinned(closed_moment_nm, spec, n, m, mode)
+                      for n in range(9) for m in range(9)]
+            lines += [_pinned(closed_moment_nrs, spec, n, r, s, mode)
+                      for n in range(6) for r in range(5) for s in range(8)]
+            digest.update("\n".join(lines).encode())
+    return digest.hexdigest()
+
+
+def test_family_outputs_keep_their_bits():
+    # the repr and type of each alpha and closed moment, for every
+    # family, both kinds of parameter and each mode request
+    assert _families_digest() == (
+        "de9f307e3660c091e0655f6dd1e71b943929bbffe370e04cae540186bd3f1ca2")
