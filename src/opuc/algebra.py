@@ -811,7 +811,8 @@ def values_close(a, b, tol=1e-9):
 
 
 def render_scalar(x):
-    """Canonical text form used by the CLI and golden tests."""
+    """Canonical text of one scalar, for LaurentPoly's coefficients and
+    render_batch; the CLI prints floats in its own %.12g form."""
     if isinstance(x, (ExactScalar, GaussianRational)):
         return str(x)
     x = complex(x)

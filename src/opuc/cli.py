@@ -46,16 +46,17 @@ EXIT_CAP = 3
 
 # cost guard for `moment` on the generic symbols: a moment's term count
 # grows about threefold per unit of n + max(r, s), and the oracle costs
-# most.  At n + max(r, s) = 10 every route answers within about 6 s on a
-# 2-vCPU machine (the oracle at r = s = 10); one more step takes the
-# oracle to 34 s and 400 MB
+# most.  At n + max(r, s) = 10 every route answers within about 5 s of
+# CPU on a 2-vCPU machine (Python 3.11; the oracle at r = s = 10, 4.7-5.3
+# s and 119 MB); one more step takes the oracle to 23 s and 403 MB
 GENERIC_MOMENT_LIMIT = 10
 
 # cost guard for `paths` on the generic symbols, in paths listed: a
-# listing costs 0.1-0.45 ms of CPU per path on a 2-vCPU machine, so 10**4
-# paths take at most about 4 s (the slowest measured, schroder at
-# (5, 5, 1): 8804 paths, 3.9 s, 220 MB).  Lukasiewicz at n = 10 (16796
-# paths) takes 2.9 s, and at n = 11 (58786) 112 s and 421 MB
+# listing costs 0.04-0.4 ms of CPU per path on the same machine, so 10**4
+# paths take at most about 4 s.  The dearest per path measured: schroder
+# at (5, 5, 1), 8804 paths, 2.0-2.8 s and 227 MB as text, 2.1-3.3 s and
+# 265 MB as JSON; lukasiewicz at (7, 11, 8) as JSON, 8008 paths, 2.8-3.0 s
+# and 223 MB.  Lukasiewicz at n = 10 (16796 paths) would take 1.4 s
 GENERIC_PATH_LIMIT = 10 ** 4
 
 
@@ -128,28 +129,37 @@ def parse_complex_literal(text):
     return re_val, im_val, dec
 
 
-def literal_value(text, mode):
-    """Literal -> scalar in the requested mode; decimals need numeric."""
-    re_val, im_val, dec = parse_complex_literal(text)
+def _literal_scalars(texts, mode):
+    """(mode, scalars) of literals, each parsed once.
+
+    A given mode wins; otherwise a decimal literal picks numeric and
+    exact ones symbolic.  Decimals need numeric mode.
+    """
+    parsed = []
+    for text in texts:
+        re_val, im_val, dec = parse_complex_literal(text)
+        if dec and mode == SYMBOLIC:
+            raise CliError("decimal literal %r requires numeric mode" % text)
+        parsed.append((re_val, im_val, dec))
+    mode = mode or (NUMERIC if any(dec for *_, dec in parsed) else SYMBOLIC)
     if mode == SYMBOLIC:
-        if dec:
-            raise CliError(
-                "decimal literal %r requires numeric mode" % text)
-        if im_val == 0:
-            return re_val
-        return GaussianRational(re_val, im_val)
-    if im_val == 0:
-        return float(re_val)
-    return complex(float(re_val), float(im_val))
+        return mode, [GaussianRational(re_val, im_val) if im_val else re_val
+                      for re_val, im_val, _ in parsed]
+    return mode, [complex(float(re_val), float(im_val)) if im_val
+                  else float(re_val) for re_val, im_val, _ in parsed]
 
 
-def random_alpha_table(rng, length, radius=0.9):
-    """Deterministic table of complex entries with modulus <= radius."""
+def literal_value(text, mode):
+    """Literal -> scalar in `mode`, which None leaves to the literal."""
+    return _literal_scalars([text], mode)[1][0]
+
+
+def random_alpha_table(rng, length):
+    """Deterministic table of complex entries with modulus <= 0.9."""
     out = []
     while len(out) < length:
-        z = complex(rng.uniform(-radius, radius),
-                    rng.uniform(-radius, radius))
-        if abs(z) <= radius:
+        z = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
+        if abs(z) <= 0.9:
             out.append(z)
     return out
 
@@ -171,8 +181,6 @@ def _family_spec(name, param, mode):
     if key != FAMILY_PARAMS[tag]:
         raise CliError("family %s takes parameter %r, got %r"
                        % (tag, FAMILY_PARAMS[tag], key))
-    dec = parse_complex_literal(valtext)[2]
-    mode = mode or (NUMERIC if dec else SYMBOLIC)
     try:
         return FamilySpec(tag, literal_value(valtext, mode))
     except ValueError as exc:
@@ -197,11 +205,8 @@ def _build_sequence(args):
     if spec is not None:
         vs = verblunsky_of(spec, args.mode)
         return vs, spec, vs.mode
-    mode = args.mode or (
-        NUMERIC if any(parse_complex_literal(t)[2] for t in literals)
-        else SYMBOLIC)
+    mode, table = _literal_scalars(literals, args.mode)
     if literals:
-        table = [literal_value(t, mode) for t in literals]
         return VerblunskySequence.from_table(table, mode), None, mode
     if mode == NUMERIC:
         raise CliError("numeric mode needs --alphas or --family")
@@ -324,10 +329,7 @@ def _closed_value(spec, mode, n, r, s):
         if r != 0:
             raise CliError("geronimus closed evaluation covers r = 0 only")
         return geronimus_gf_moment(spec.value, n, s)
-    try:
-        return closed_moment_nrs(spec, n, r, s, mode)
-    except UnsupportedFamily as exc:
-        raise CliError(str(exc))
+    return closed_moment_nrs(spec, n, r, s, mode)
 
 
 def cmd_moment(args):
@@ -634,13 +636,9 @@ def _suite_positivity(checks, maxn):
                     positivity_certificate(vs, n, r, s)
                 except PositivityViolation:
                     bad.append((n, r, s))
-                cleared = (
-                    vs.alpha_bar(s - 1) * vs.rho(s)
-                    * moment_lukasiewicz(vs, n, r, s + 1)
-                    - vs.alpha_bar(s) * moment_lukasiewicz(vs, n, r, s))
-                cleared2 = (star_to_star_coeff(vs, n, r, s)
-                            * vs.alpha_bar(s) * vs.alpha_bar(s - 1))
-                for val in (cleared, cleared2):
+                for coeff in (phi_to_star_coeff, star_to_star_coeff):
+                    val = (coeff(vs, n, r, s)
+                           * vs.alpha_bar(s) * vs.alpha_bar(s - 1))
                     if not is_polynomial(val):
                         nonpoly.append((n, r, s))
                     elif any(c < 0 for c in beta_form(val).values()):
@@ -800,7 +798,7 @@ def main(argv=None):
     except EnumerationCapExceeded as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_CAP
-    except (IndexError, UnsupportedFamily, ValueError) as exc:
+    except (IndexError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_FAIL
 

@@ -35,7 +35,7 @@ class VerblunskySequence:
     only read it.
     """
 
-    def __init__(self, accessor, mode, source="table"):
+    def __init__(self, accessor, mode, source="rule"):
         self.mode = mode
         self.source = source
         self._accessor = accessor
@@ -58,10 +58,6 @@ class VerblunskySequence:
             return values[j]
 
         return cls(accessor, mode, source="table[%d]" % len(values))
-
-    @classmethod
-    def from_function(cls, fn, mode, source="rule"):
-        return cls(fn, mode, source=source)
 
     def alpha(self, j):
         if j < -1:

@@ -8,12 +8,9 @@ class ZeroVerblunsky(ValueError):
     contract) can report which coefficient broke the hypothesis.
     """
 
-    def __init__(self, index, detail=""):
+    def __init__(self, index):
         self.index = index
-        msg = "alpha_%d = 0" % index
-        if detail:
-            msg += " (%s)" % detail
-        super().__init__(msg)
+        super().__init__("alpha_%d = 0" % index)
 
 
 class UnsupportedFamily(ValueError):

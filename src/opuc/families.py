@@ -3,8 +3,9 @@
 Each family fixes a rule for the recurrence coefficient sequence; where a
 closed evaluation of the ordinary or generalized moments is known, it is
 provided here alongside the sequence so the two routes can cross-check
-each other.  Families with rational (or Gaussian-rational) data build
-exact sequences; the rest are numeric.
+each other.  Each formula is written once, and the mode chooses only its
+arithmetic (`_real`, `_half_power`): exact for rational (or
+Gaussian-rational) data, floats for the rest.
 """
 
 import math
@@ -71,13 +72,12 @@ def _validate(tag, value):
 class FamilySpec:
     """A family tag plus its parameter, validated against the family's range."""
 
-    __slots__ = ("tag", "value", "exact")
+    __slots__ = ("tag", "value")
 
     def __init__(self, tag, value):
         _validate(tag, value)
         self.tag = tag
         self.value = value
-        self.exact = _is_exact(value)
 
     def __repr__(self):
         return "%s(%s=%s)" % (self.tag, FAMILY_PARAMS[self.tag], self.value)
@@ -94,7 +94,7 @@ def family_mode(spec):
     """Natural scalar representation for a family's data."""
     if spec.tag == "single_nontrivial" and spec.value != 1:
         return NUMERIC  # u is a quadratic irrational
-    return SYMBOLIC if spec.exact else NUMERIC
+    return SYMBOLIC if _is_exact(spec.value) else NUMERIC
 
 
 def _resolve_mode(spec, mode):
@@ -104,6 +104,16 @@ def _resolve_mode(spec, mode):
     if mode == SYMBOLIC and natural == NUMERIC:
         raise UnsupportedFamily("%r has no exact scalar representation" % (spec,))
     return mode
+
+
+def _real(spec, mode):
+    # symbolic mode is only ever resolved for an exact parameter
+    return Fraction(spec.value) if mode == SYMBOLIC else float(spec.value)
+
+
+def _half_power(q, e, mode):
+    """q ** (e / 2): a power of the adjoined root t = sqrt(q) when exact."""
+    return t_root(q) ** e if mode == SYMBOLIC else q ** (e / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -124,16 +134,15 @@ def verblunsky_of(spec, mode=None):
     mode = _resolve_mode(spec, mode)
     v = spec.value
     tag = spec.tag
-    exact = spec.exact and mode == SYMBOLIC
     if tag == "geronimus":
         fn = lambda j: v
     elif tag == "bernstein_szego":
         fn = lambda j: v if j == 0 else 0
     elif tag == "mass_point":
-        g = Fraction(v) if exact else float(v)
+        g = _real(spec, mode)
         fn = lambda j: g / (1 + j * g)
     elif tag == "circular_jacobi":
-        a = Fraction(v) if exact else float(v)
+        a = _real(spec, mode)
         fn = lambda j: -a / (j + a + 1)
     elif tag == "single_nontrivial":
         if v == 1:
@@ -143,17 +152,13 @@ def verblunsky_of(spec, mode=None):
             top = _usinh(u, 1)
             fn = lambda j: -top / _usinh(u, j + 2)
     elif tag == "rogers_szego":
-        if mode == SYMBOLIC:
-            t = t_root(v)
-            fn = lambda j: t ** (j + 1) if j % 2 == 0 else -(t ** (j + 1))
-        else:
-            rt = math.sqrt(v)
-            fn = lambda j: rt ** (j + 1) if j % 2 == 0 else -(rt ** (j + 1))
+        t = t_root(v) if mode == SYMBOLIC else math.sqrt(v)
+        fn = lambda j: t ** (j + 1) if j % 2 == 0 else -(t ** (j + 1))
     else:  # al_salam_carlitz
-        q = Fraction(v) if exact else float(v)
+        q = _real(spec, mode)
         fn = lambda j: 1 - 2 * q ** ((j + 1) // 2) if j % 2 else 0
 
-    return VerblunskySequence.from_function(fn, mode, source=repr(spec))
+    return VerblunskySequence(fn, mode, source=repr(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +201,12 @@ def closed_moment_nm(spec, n, m, mode=None):
     if tag == "mass_point":
         if k == 0:
             return one_of(mode)
-        g = Fraction(spec.value) if mode == SYMBOLIC else float(spec.value)
+        g = _real(spec, mode)
         return as_mode_scalar(g / (1 + m * g), mode)
     if tag == "circular_jacobi":
         if k == 0:
             return one_of(mode)
-        a = Fraction(spec.value) if mode == SYMBOLIC else float(spec.value)
+        a = _real(spec, mode)
         val = math.comb(n, m) * rising_factorial(-a, k)
         val = val / rising_factorial(a + m + 1, k)
         return as_mode_scalar(val, mode)
@@ -215,11 +220,9 @@ def closed_moment_nm(spec, n, m, mode=None):
         u = _snm_u(spec.value)
         return complex(-_usinh(u, n) / _usinh(u, n + 1))
     # rogers_szego: the half-integer exponent (n-m)^2 / 2 lives in t = sqrt(q)
-    if mode == SYMBOLIC:
-        t = t_root(spec.value)
-        return t ** (k * k) * q_binomial(n, m, Fraction(spec.value))
-    q = float(spec.value)
-    return complex(q_binomial(n, m, q) * q ** (k * k / 2.0))
+    q = _real(spec, mode)
+    return as_mode_scalar(q_binomial(n, m, q) * _half_power(q, k * k, mode),
+                          mode)
 
 
 def closed_moment_nrs(spec, n, r, s, mode=None):
@@ -237,13 +240,13 @@ def closed_moment_nrs(spec, n, r, s, mode=None):
             return closed_moment_nm(spec, n, s, mode)
         if s >= n + r:
             return one_of(mode) if s == n + r else zero_of(mode)
-        g = Fraction(spec.value) if mode == SYMBOLIC else float(spec.value)
+        g = _real(spec, mode)
         den = (1 + (r - 1) * g) * (1 + s * g)
         if s > n - 1:
             return as_mode_scalar(-(n * g * g) / den, mode)
         return as_mode_scalar((1 - g) * g / den, mode)
     if tag == "circular_jacobi":
-        a = Fraction(spec.value) if mode == SYMBOLIC else float(spec.value)
+        a = _real(spec, mode)
         if a == 0:
             return one_of(mode) if s == n + r else zero_of(mode)
         total = 0
@@ -266,31 +269,22 @@ def closed_moment_nrs(spec, n, r, s, mode=None):
                            / (_usinh(u, s + 2) * _usinh(u, r + 1)))
         return zero_of(mode)
     # rogers_szego
-    if mode == SYMBOLIC:
-        q = Fraction(spec.value)
-        t = t_root(q)
-        total = zero_of(SYMBOLIC)
-        for j in range(r + 1):
-            c = q_binomial(r, j, q) * q_binomial(n + j, s, q)
-            if (r - j) % 2 == 1:
-                c = -c
-            total = total + t ** ((r - j) + (n + j - s) ** 2) * c
-        return total
-    q = float(spec.value)
-    total = 0.0
+    q = _real(spec, mode)
+    total = zero_of(mode)
     for j in range(r + 1):
         c = q_binomial(r, j, q) * q_binomial(n + j, s, q)
-        total += (-1) ** (r - j) * c * q ** (((r - j) + (n + j - s) ** 2) / 2.0)
-    return complex(total)
+        if (r - j) % 2 == 1:
+            c = -c
+        total = total + c * _half_power(q, (r - j) + (n + j - s) ** 2, mode)
+    return as_mode_scalar(total, mode)
 
 
-def nrs_from_nm(spec_or_vs, n, r, s, mode=None):
+def nrs_from_nm(spec_or_vs, n, r, s):
     """Rebuild the (n, r, s) moment as a combination of (n+i, s) moments
     weighted by the conjugated coefficients of the degree-r polynomial."""
     if isinstance(spec_or_vs, FamilySpec):
-        mode = _resolve_mode(spec_or_vs, mode)
-        vs = verblunsky_of(spec_or_vs, mode)
-        nm = lambda k: closed_moment_nm(spec_or_vs, k, s, mode)
+        vs = verblunsky_of(spec_or_vs)
+        nm = lambda k: closed_moment_nm(spec_or_vs, k, s)
     else:
         vs = spec_or_vs
         from .paths import moment_lukasiewicz

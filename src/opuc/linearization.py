@@ -18,7 +18,7 @@ from .algebra import LaurentPoly, zero_of
 from .core import normalized_pairing, phi
 from .errors import ZeroVerblunsky
 from .matrices import ScalarMatrix
-from .paths import (DEFAULT_CAP, UP, moment_lukasiewicz, moment_negative,
+from .paths import (UP, moment_lukasiewicz, moment_negative,
                     schroder_weight_sum, weighted_paths)
 
 PHI_BASIS = "phi"
@@ -101,8 +101,7 @@ def expand_in_phistar_basis(vs, f, bound):
     if not f.is_zero and f.degree() > bound:
         raise ValueError("degree exceeds the expansion bound")
     for i in range(bound):
-        if not vs.alpha(i):
-            raise ZeroVerblunsky(i)
+        _require_nonzero(vs, i)
     coeffs = [zero_of(vs.mode)] * (bound + 1)
     residual = f
     for s in range(bound, 0, -1):
@@ -191,7 +190,7 @@ def star_to_star_coeff(vs, n, r, s):
     return -inner / vs.alpha_bar(s - 1)
 
 
-def star_to_phi_coeff_paths(vs, n, r, s, cap=DEFAULT_CAP):
+def star_to_phi_coeff_paths(vs, n, r, s):
     """Path route to star_to_phi_coeff: unit-width paths, no opening rise.
 
     Sums the (n+1)-step unit-width-model paths r -> s whose first step is
@@ -199,7 +198,7 @@ def star_to_phi_coeff_paths(vs, n, r, s, cap=DEFAULT_CAP):
     """
     _require_nonzero(vs, r)
     total = vs.zero()
-    for _, w in weighted_paths("lukasiewicz", n + 1, r, s, vs, cap=cap,
+    for _, w in weighted_paths("lukasiewicz", n + 1, r, s, vs,
                                skip_first=(UP,)):
         total = total + w
     return total / vs.alpha(r)

@@ -571,7 +571,7 @@ def contract_schroder(path):
     return LatticePath("lukasiewicz", path.start, steps)
 
 
-def schroder_grouping(n, r, s, cap=DEFAULT_CAP):
+def schroder_grouping(n, r, s):
     """Partition the drop-model paths by their contracted representative.
 
     Returns a dict keyed by the representative's step tuple.  Per group,
@@ -579,7 +579,7 @@ def schroder_grouping(n, r, s, cap=DEFAULT_CAP):
     the tests verify.
     """
     groups = {}
-    for p in enumerate_paths("schroder", n, r, s, cap):
+    for p in enumerate_paths("schroder", n, r, s):
         groups.setdefault(contract_schroder(p).steps, []).append(p)
     return groups
 

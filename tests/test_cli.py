@@ -52,6 +52,23 @@ def test_literal_value_modes():
         literal_value("0.5", "symbolic")
 
 
+@pytest.mark.parametrize("argv, parses", [
+    (("--alphas", "1/2,1/3,2/5+1/5i"), 3),
+    (("--family", "rogers_szego", "--param", "q=1/3"), 1),
+])
+def test_each_literal_is_parsed_once(capsys, monkeypatch, argv, parses):
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_complex_literal(text)
+
+    monkeypatch.setattr(cli, "parse_complex_literal", counted)
+    code, out, err = _run(capsys, "moment", *argv)
+    assert code == 0 and err == ""
+    assert len(calls) == parses
+
+
 def test_random_tables_are_deterministic_and_bounded():
     a = random_alpha_table(random.Random(5), 20)
     b = random_alpha_table(random.Random(5), 20)

@@ -89,7 +89,7 @@ def _counting_sequence(mode):
             return alpha(j)
         return complex(0.3 + 0.05 * j, 0.2 - 0.03 * j)
 
-    return VerblunskySequence.from_function(rule, mode), reads
+    return VerblunskySequence(rule, mode), reads
 
 
 @pytest.mark.parametrize("mode", [NUMERIC, SYMBOLIC])
@@ -283,7 +283,7 @@ def test_oracle_third_moment_matches_display():
 def test_oracle_point_mass_family_closed_form():
     # alpha_j = gamma/(1 + j gamma): mu_{n,m} = gamma/(1 + m gamma) for n > m
     g = Fraction(1, 2)
-    vs = VerblunskySequence.from_function(
+    vs = VerblunskySequence(
         lambda j: g / (1 + j * g), SYMBOLIC)
     for n in range(5):
         for m in range(5):
@@ -451,7 +451,7 @@ def _phi_oracle_u_walk_digest():
         lines += [repr(u_power_entry(vs, *cell)) for cell in walk]
         shuffled = list(walk)
         random.Random(seed).shuffle(shuffled)
-        fresh = VerblunskySequence.from_function(vs.alpha, NUMERIC)
+        fresh = VerblunskySequence(vs.alpha, NUMERIC)
         lines += [repr(u_power_entry(fresh, *cell)) for cell in shuffled]
         digest.update("\n".join(lines).encode())
     exact = VerblunskySequence.from_table(

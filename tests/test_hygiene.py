@@ -4,8 +4,10 @@ only through the one writer, a sequence keeps its memos in `cache`, only
 `core` reads `cache` at all, so no table is edited under an alias, each
 sweep table's key name is grown by one step function, only
 `algebra` knows how an exact value is stored, the oracle's module `core`
-imports nothing of the package but `algebra`, and no module calls
-`path_weight`, which the tests keep as the weighted walk's check."""
+imports nothing of the package but `algebra`, no module calls
+`path_weight`, which the tests keep as the weighted walk's check, and
+every parameter default of a module- or class-level function is
+overridden by some call in the package or its tests."""
 
 import ast
 from pathlib import Path
@@ -388,3 +390,88 @@ def test_no_module_forms_listing_weights_outside_the_walk():
     calls = {path.name: path_weight_calls(path.read_text())
              for path in Path(opuc.__file__).parent.glob("*.py")}
     assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+def _call_name(call, cls):
+    # the name a call reaches; `cls(...)` inside a class is its constructor
+    func = call.func
+    if isinstance(func, ast.Name):
+        return cls if func.id == "cls" and cls else func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _functions(tree):
+    """(function, callee name, node, bound parameters) for each module-
+    or class-level function; `__init__` is called by its class's name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for func in node.body:
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in func.decorator_list)
+                yield ("%s.%s" % (node.name, func.name),
+                       node.name if func.name == "__init__" else func.name,
+                       func, 0 if static else 1)
+
+
+def _sets(call, name, positional):
+    return (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(kw.arg in (None, name) for kw in call.keywords)
+            or name in positional[:len(call.args)])
+
+
+def unset_defaults(sources, callers=()):
+    """(function, parameter) for each defaulted parameter of a module- or
+    class-level function in `sources` that no call in `sources` or
+    `callers` sets, by position or by name.
+
+    A call is matched by the callee's name; `__init__` by its class's
+    name, or by `cls(...)` inside the class.  A call with *args or
+    **kwargs sets every parameter, and a non-static method's first
+    parameter is bound.
+    """
+    trees = [ast.parse(text) for text in sources]
+    calls = {}
+    for tree in trees + [ast.parse(text) for text in callers]:
+        for node in tree.body:
+            cls = node.name if isinstance(node, ast.ClassDef) else None
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    calls.setdefault(_call_name(call, cls), []).append(call)
+    found = []
+    for tree in trees:
+        for qualname, key, func, bound in _functions(tree):
+            args = func.args
+            positional = [arg.arg for arg in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [arg.arg for arg, default
+                          in zip(args.kwonlyargs, args.kw_defaults) if default]
+            found += [(qualname, name) for name in defaulted
+                      if not any(_sets(call, name, positional[bound:])
+                                 for call in calls.get(key, ()))]
+    return found
+
+
+def test_unset_defaults_are_found():
+    source = ("def f(a, b=1, *, c=2, d=3):\n    return f(0, 1, d=4)\n"
+              "def g(a, b=1):\n    return a\n"
+              "class K:\n"
+              "    def __init__(self, a, b=1, c=2):\n        self.a = a\n"
+              "    @classmethod\n"
+              "    def make(cls, x=0):\n        return cls(1, 2)\n"
+              "    def m(self, y=0, z=1):\n        return self.m(*[y])\n"
+              "    @staticmethod\n"
+              "    def s(x, y=0):\n        return K.s(x, y)\n")
+    assert unset_defaults([source]) == [
+        ("f", "c"), ("g", "b"), ("K.__init__", "c"), ("K.make", "x")]
+    assert unset_defaults([source], ["K.make(x=1)\ng(1, **{})\n"]) == [
+        ("f", "c"), ("K.__init__", "c")]
+
+
+def test_every_parameter_default_has_a_caller():
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assert unset_defaults([path.read_text() for path in MODULES],
+                          [path.read_text() for path in tests]) == []
