@@ -472,6 +472,7 @@ def test_unset_defaults_are_found():
 
 
 def test_every_parameter_default_has_a_caller():
+    # a default that no call overrides is an option that nothing uses
     tests = sorted(Path(__file__).parent.glob("*.py"))
     assert unset_defaults([path.read_text() for path in MODULES],
                           [path.read_text() for path in tests]) == []
