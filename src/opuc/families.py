@@ -4,10 +4,11 @@ Each family fixes a rule for the recurrence coefficient sequence; where a
 closed evaluation of the ordinary or generalized moments is known, it is
 provided here alongside the sequence so the two routes can cross-check
 each other.  Each formula is written once, and the mode chooses only its
-arithmetic (`_real`, `_half_power`): exact for rational (or
+arithmetic (`_real`, `_scalar`, `_half_power`): exact for rational (or
 Gaussian-rational) data, floats for the rest.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -92,8 +93,6 @@ class FamilySpec:
 
 def family_mode(spec):
     """Natural scalar representation for a family's data."""
-    if spec.tag == "single_nontrivial" and spec.value != 1:
-        return NUMERIC  # u is a quadratic irrational
     return SYMBOLIC if _is_exact(spec.value) else NUMERIC
 
 
@@ -111,6 +110,11 @@ def _real(spec, mode):
     return Fraction(spec.value) if mode == SYMBOLIC else float(spec.value)
 
 
+def _scalar(spec, mode):
+    # a complex parameter's counterpart of `_real`
+    return spec.value if mode == SYMBOLIC else complex(spec.value)
+
+
 def _half_power(q, e, mode):
     """q ** (e / 2): a power of the adjoined root t = sqrt(q) when exact."""
     return t_root(q) ** e if mode == SYMBOLIC else q ** (e / 2.0)
@@ -119,14 +123,23 @@ def _half_power(q, e, mode):
 # ---------------------------------------------------------------------------
 # coefficient sequences
 
-def _snm_u(a):
-    a = float(a)
-    return 1.0 / a + math.sqrt(1.0 / (a * a) - 1.0)
+def _chebyshev_ratios(x):
+    """t_k = U_{k-1}(x) / U_k(x) for k = 0, 1, 2, ..., with U_k the
+    Chebyshev polynomials of the second kind: t_0 = 0 (U_{-1} = 0) and
+    t_k = 1 / (2x - t_{k-1}).  For x >= 1 every t_k lies in [0, 1], so
+    no float overflows."""
+    t = 0
+    while True:
+        yield t
+        t = 1 / (2 * x - t)
 
 
-def _usinh(u, k):
-    """u**k - u**(-k); positive and increasing in k for u > 1."""
-    return u ** k - u ** float(-k)
+def _ratio_product(x, lo, hi):
+    """t_lo * ... * t_hi = U_{lo-1}(x) / U_hi(x); 1 when lo > hi."""
+    out = 1
+    for t in itertools.islice(_chebyshev_ratios(x), lo, hi + 1):
+        out = out * t
+    return out
 
 
 def verblunsky_of(spec, mode=None):
@@ -145,12 +158,16 @@ def verblunsky_of(spec, mode=None):
         a = _real(spec, mode)
         fn = lambda j: -a / (j + a + 1)
     elif tag == "single_nontrivial":
-        if v == 1:
-            fn = lambda j: Fraction(-1, j + 2)
-        else:
-            u = _snm_u(v)
-            top = _usinh(u, 1)
-            fn = lambda j: -top / _usinh(u, j + 2)
+        # alpha_j = -1 / U_{j+1}(1/a) = -(t_1 ... t_{j+1}), one more
+        # ratio per index
+        ratios = itertools.islice(_chebyshev_ratios(1 / _real(spec, mode)),
+                                  1, None)
+        products = [-1]
+
+        def fn(j):
+            while len(products) <= j + 1:
+                products.append(products[-1] * next(ratios))
+            return products[j + 1]
     elif tag == "rogers_szego":
         t = t_root(v) if mode == SYMBOLIC else math.sqrt(v)
         fn = lambda j: t ** (j + 1) if j % 2 == 0 else -(t ** (j + 1))
@@ -189,8 +206,11 @@ def closed_moment_nm(spec, n, m, mode=None):
     """Closed evaluation of the (n, m) moment, where the family has one."""
     mode = _resolve_mode(spec, mode)
     tag = spec.tag
-    if tag in ("geronimus", "al_salam_carlitz"):
+    if tag == "al_salam_carlitz":
         raise UnsupportedFamily("no closed (n, m) moment for %s" % tag)
+    if tag == "geronimus":
+        return as_mode_scalar(geronimus_gf_moment(_scalar(spec, mode), n, m),
+                              mode)
     if n < m:
         return zero_of(mode)
     k = n - m
@@ -215,10 +235,9 @@ def closed_moment_nm(spec, n, m, mode=None):
             return one_of(mode)
         if k > 1:
             return zero_of(mode)
-        if spec.value == 1:
-            return as_mode_scalar(Fraction(-n, n + 1), mode)
-        u = _snm_u(spec.value)
-        return complex(-_usinh(u, n) / _usinh(u, n + 1))
+        # -U_{n-1} / U_n at x = 1/a
+        x = 1 / _real(spec, mode)
+        return as_mode_scalar(-_ratio_product(x, n, n), mode)
     # rogers_szego: the half-integer exponent (n-m)^2 / 2 lives in t = sqrt(q)
     q = _real(spec, mode)
     return as_mode_scalar(q_binomial(n, m, q) * _half_power(q, k * k, mode),
@@ -229,8 +248,17 @@ def closed_moment_nrs(spec, n, r, s, mode=None):
     """Closed evaluation of the (n, r, s) moment, where the family has one."""
     mode = _resolve_mode(spec, mode)
     tag = spec.tag
-    if tag in ("geronimus", "al_salam_carlitz"):
+    if tag == "al_salam_carlitz":
         raise UnsupportedFamily("no closed (n, r, s) moment for %s" % tag)
+    if tag == "geronimus":
+        # the (n + i, s) moments weighted by the family's own degree-r
+        # coefficients, conjugated
+        a = _scalar(spec, mode)
+        total = 0
+        for i in range(r + 1):
+            total = total + (conjugate(geronimus_phi_coeff(a, r, i))
+                             * geronimus_gf_moment(a, n + i, s))
+        return as_mode_scalar(total, mode)
     if tag == "bernstein_szego":
         if r == 0:
             return closed_moment_nm(spec, n, s, mode)
@@ -262,11 +290,10 @@ def closed_moment_nrs(spec, n, r, s, mode=None):
         if s == n + r:
             return one_of(mode)
         if n - 1 <= s < n + r:
-            if spec.value == 1:
-                return as_mode_scalar(Fraction(-n, (r + 1) * (s + 2)), mode)
-            u = _snm_u(spec.value)
-            return complex(-_usinh(u, n) * _usinh(u, 1)
-                           / (_usinh(u, s + 2) * _usinh(u, r + 1)))
+            # -U_{n-1} U_0 / (U_{s+1} U_r) at x = 1/a
+            x = 1 / _real(spec, mode)
+            return as_mode_scalar(-_ratio_product(x, n, s + 1)
+                                  * _ratio_product(x, 1, r), mode)
         return zero_of(mode)
     # rogers_szego
     q = _real(spec, mode)

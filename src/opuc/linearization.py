@@ -25,45 +25,17 @@ PHI_BASIS = "phi"
 PHI_STAR_BASIS = "phi_star"
 
 
-class ExpansionResult:
-    """Coefficients of a Laurent polynomial against one polynomial basis."""
-
-    __slots__ = ("target", "basis", "coeffs")
-
-    def __init__(self, target, basis, coeffs):
-        if basis not in (PHI_BASIS, PHI_STAR_BASIS):
-            raise ValueError("unknown basis tag %r" % (basis,))
-        self.target = target
-        self.basis = basis
-        self.coeffs = list(coeffs)
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __getitem__(self, s):
-        return self.coeffs[s]
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, ExpansionResult):
-            return self.basis == other.basis and self.coeffs == other.coeffs
-        if isinstance(other, (list, tuple)):
-            return self.coeffs == list(other)
-        return NotImplemented
-
-    def __repr__(self):
-        return "ExpansionResult(%s, %r)" % (self.basis, self.coeffs)
-
-    def reconstruct(self, vs):
-        """Sum coefficient * basis element; must reproduce the target."""
-        total = LaurentPoly({}, vs.mode)
-        for s, c in enumerate(self.coeffs):
-            base = phi(vs, s)
-            poly = base.phi if self.basis == PHI_BASIS else base.phi_star
-            total = total + poly.scale(c)
-        return total
+def reconstruct(vs, basis, coeffs):
+    """Sum of coeffs[s] times phi_s, or times phi_s^* for the starred basis;
+    an expansion's coefficients must give back its target."""
+    if basis not in (PHI_BASIS, PHI_STAR_BASIS):
+        raise ValueError("unknown basis tag %r" % (basis,))
+    total = LaurentPoly({}, vs.mode)
+    for s, c in enumerate(coeffs):
+        base = phi(vs, s)
+        poly = base.phi if basis == PHI_BASIS else base.phi_star
+        total = total + poly.scale(c)
+    return total
 
 
 def expand_in_phi_basis(vs, f):
@@ -73,7 +45,7 @@ def expand_in_phi_basis(vs, f):
     well-posed because each phi_s is monic of degree s.
     """
     if f.is_zero:
-        return ExpansionResult(f, PHI_BASIS, [])
+        return []
     if f.valuation() < 0:
         raise ValueError("target has negative powers; not a polynomial")
     deg = f.degree()
@@ -86,7 +58,7 @@ def expand_in_phi_basis(vs, f):
             residual = residual - phi(vs, s).phi.scale(c)
     if not residual.is_zero:
         raise AssertionError("triangular solve left a nonzero residual")
-    return ExpansionResult(f, PHI_BASIS, coeffs)
+    return coeffs
 
 
 def expand_in_phistar_basis(vs, f, bound):
@@ -113,7 +85,7 @@ def expand_in_phistar_basis(vs, f, bound):
     coeffs[0] = residual.coeff(0)
     if not (residual - phi(vs, 0).phi_star.scale(coeffs[0])).is_zero:
         raise AssertionError("starred solve left a nonzero residual")
-    return ExpansionResult(f, PHI_STAR_BASIS, coeffs)
+    return coeffs
 
 
 def star_to_phi_coeff(vs, n, r, s):

@@ -18,9 +18,9 @@ from opuc.cli import random_alpha_table
 from opuc.core import VerblunskySequence, moment_oracle, phi
 from opuc.errors import ZeroVerblunsky
 from opuc.families import (FamilySpec, closed_moment_nm, closed_moment_nrs,
-                           family_mode, geronimus_gf_moment, verblunsky_of)
-from opuc.linearization import (PHI_BASIS, PHI_STAR_BASIS, ExpansionResult,
-                                phi_to_star_coeff, star_basis_change,
+                           family_mode, verblunsky_of)
+from opuc.linearization import (PHI_BASIS, PHI_STAR_BASIS, phi_to_star_coeff,
+                                reconstruct, star_basis_change,
                                 star_overlap_matrix, star_to_phi_coeff,
                                 star_to_star_coeff)
 from opuc.matrices import (ScalarMatrix, cmv_walk_entry, det_identity_check,
@@ -179,7 +179,10 @@ def _family_cases():
         (FamilySpec("circular_jacobi", Fraction(3, 2)), False),
         (FamilySpec("rogers_szego", Fraction(1, 3)), False),
         (FamilySpec("single_nontrivial", 1), False),
-        (FamilySpec("single_nontrivial", Fraction(1, 2)), True),
+        (FamilySpec("single_nontrivial", Fraction(1, 2)), False),
+        (FamilySpec("geronimus", Fraction(1, 2)), False),
+        (FamilySpec("geronimus", 1), False),
+        (FamilySpec("geronimus", 0.3 + 0.4j), True),
     ]
 
 
@@ -201,19 +204,9 @@ def test_criterion_07_family_closed_forms():
                     b = moment_lukasiewicz(vs, n, r, s)
                     if not (values_close(a, b) if approx else a == b):
                         bad.append((spec, "nrs", n, r, s))
-    for value, approx in ((Fraction(1, 2), False), (1, False),
-                          (0.3 + 0.4j, True)):
-        spec = FamilySpec("geronimus", value)
-        vs = verblunsky_of(spec)
-        for n in range(7):
-            for m in range(7):
-                a = geronimus_gf_moment(value, n, m)
-                b = moment_lukasiewicz(vs, n, 0, m)
-                if not (values_close(a, b) if approx else a == b):
-                    bad.append((spec, "gf", n, m))
     ok = not bad
-    _report(7, ok, "six closed families (n,m <= 6; n,r,s <= 5) and the "
-            "constant family via its series, all against the path DP")
+    _report(7, ok, "six families' closed forms (n,m <= 6; n,r,s <= 5) "
+            "against the path DP")
     assert not bad, "mismatches: %s" % bad[:5]
 
 
@@ -252,8 +245,7 @@ def test_criterion_09_linearization_roundtrips():
             for target, basis, coeff_fn in cases:
                 coeffs = [conjugate(coeff_fn(vs, n, r, s))
                           for s in range(width)]
-                rebuilt = ExpansionResult(target, basis,
-                                          coeffs).reconstruct(vs)
+                rebuilt = reconstruct(vs, basis, coeffs)
                 if rebuilt != target:
                     bad.append((coeff_fn.__name__, basis, n, r))
     diag_ok = phi_to_star_coeff(vs, 0, 0, 0) == 1 and all(

@@ -192,10 +192,10 @@ def test_moment_closed_method(capsys):
 def test_moment_closed_method_needs_support(capsys):
     code, out, err = _run(capsys, "moment", "--method", "closed", "-n", "1")
     assert code == 1 and "requires --family" in err
-    code, out, err = _run(capsys, "moment", "--family", "geronimus",
-                          "--param", "alpha=1/2", "-n", "1", "-r", "1",
+    code, out, err = _run(capsys, "moment", "--family", "al_salam_carlitz",
+                          "--param", "q=1/2", "-n", "1", "-r", "1",
                           "--method", "closed")
-    assert code == 1 and "r = 0" in err
+    assert code == 1 and "no closed (n, r, s) moment" in err
 
 
 def test_moment_json_format(capsys):
@@ -480,7 +480,7 @@ def test_verify_families_suite(capsys):
                           "--max", "2")
     assert code == 0
     doc = json.loads(out)
-    assert len(doc["checks"]) == 15
+    assert len(doc["checks"]) == 18
     assert all(chk["status"] == "pass" for chk in doc["checks"])
 
 
@@ -600,9 +600,8 @@ def test_verify_details_list_the_failing_cells_in_order(capsys, monkeypatch):
         return wrong
 
     for name in ("moment_negative", "toeplitz_det", "closed_moment_nm",
-                 "closed_moment_nrs", "geronimus_gf_moment",
-                 "star_to_phi_coeff_paths", "star_to_star_coeff_paths",
-                 "star_pairing_oracle"):
+                 "closed_moment_nrs", "star_to_phi_coeff_paths",
+                 "star_to_star_coeff_paths", "star_pairing_oracle"):
         monkeypatch.setattr(cli, name,
                             doubled_at_some_cells(getattr(cli, name)))
     monkeypatch.setattr(cli, "det_identity_check",
@@ -611,7 +610,7 @@ def test_verify_details_list_the_failing_cells_in_order(capsys, monkeypatch):
     assert code == 1
     failed = {chk["name"]: chk["detail"]
               for chk in json.loads(out)["checks"] if chk["status"] == "fail"}
-    assert len(failed) == 20
+    assert len(failed) == 23
     expected = {
         "rho-ratio conjugation":
             "mismatches: [(0, 1, 1), (0, 2, 2), (1, 0, 0), (1, 0, 1)]",
@@ -623,7 +622,8 @@ def test_verify_details_list_the_failing_cells_in_order(capsys, monkeypatch):
             "failed (n, m): [(1, 0), (1, 1), (2, 0), (2, 2)]",
         "nrs[mass_point(gamma=1/2)]":
             "failed (n, r, s): [(0, 1, 1), (0, 2, 2), (1, 0, 0), (1, 0, 1)]",
-        "gf[geronimus(alpha=1)]": "failed (n, m): [(0, 0), (1, 0), (2, 2)]",
+        "nm[geronimus(alpha=1)]":
+            "failed (n, m): [(1, 0), (1, 1), (2, 0), (2, 2)]",
         "path companions":
             "failed: [('star_to_phi', 1, 0, 0), ('star_to_star', 1, 0, 0), "
             "('star_to_phi', 1, 0, 1), ('star_to_star', 1, 0, 1)]",
@@ -654,6 +654,21 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["nonsense"])
     assert info.value.code == 1
+
+
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["moment", "--alphas", HUGE, "--mode", "numeric"],
+    ["moment", "--family", "circular_jacobi", "--param", "a=" + HUGE,
+     "--mode", "numeric", "-n", "2"],
+], ids=["alphas", "family"])
+def test_float_overflow_exits_one(capsys, argv):
+    # a literal too large for a float fails as bad input, not a traceback
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: integer division result too large for a float\n"
 
 
 def _comparable(argv, code, out, err):

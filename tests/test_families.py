@@ -1,6 +1,7 @@
 """Named coefficient families: sequences, closed moment formulas, and the
 generating-function route for the constant-coefficient family."""
 
+import cmath
 import hashlib
 from fractions import Fraction
 
@@ -69,14 +70,15 @@ def test_natural_mode_selection():
     assert family_mode(_spec("geronimus", Fraction(1, 2))) == SYMBOLIC
     assert family_mode(_spec("geronimus", 0.3 + 0.4j)) == NUMERIC
     assert family_mode(_spec("bernstein_szego", BS_ZETA)) == SYMBOLIC
-    # exact parameter but irrational coefficient data
-    assert family_mode(_spec("single_nontrivial", Fraction(1, 2))) == NUMERIC
+    # every exact parameter gives exact coefficient data
+    assert family_mode(_spec("single_nontrivial", Fraction(1, 2))) == SYMBOLIC
     assert family_mode(_spec("single_nontrivial", 1)) == SYMBOLIC
+    assert family_mode(_spec("single_nontrivial", 0.7)) == NUMERIC
 
 
 def test_symbolic_request_rejected_without_exact_data():
     with pytest.raises(UnsupportedFamily):
-        verblunsky_of(_spec("single_nontrivial", Fraction(1, 2)), SYMBOLIC)
+        verblunsky_of(_spec("single_nontrivial", 0.7), SYMBOLIC)
     with pytest.raises(UnsupportedFamily):
         verblunsky_of(_spec("geronimus", 0.3 + 0.4j), SYMBOLIC)
 
@@ -110,12 +112,23 @@ def test_single_nontrivial_sequences():
     vs = verblunsky_of(_spec("single_nontrivial", 1))
     for j in range(6):
         assert vs.alpha(j) == Fraction(-1, j + 2)
-    num = verblunsky_of(_spec("single_nontrivial", Fraction(1, 2)))
-    # u = 2 + sqrt(3);  alpha_j = -(u - 1/u) / (u^(j+2) - u^-(j+2))
-    u = 2 + 3 ** 0.5
+    # alpha_j = -1 / U_{j+1}(2), and U_k(2) = 1, 4, 15, 56, 209, ...
+    half = verblunsky_of(_spec("single_nontrivial", Fraction(1, 2)))
+    assert [half.alpha(j) for j in range(4)] == [
+        Fraction(-1, 4), Fraction(-1, 15), Fraction(-1, 56), Fraction(-1, 209)]
+    num = verblunsky_of(_spec("single_nontrivial", 0.7))
+    # u = 1/a + sqrt(1/a^2 - 1);  alpha_j = -(u - 1/u) / (u^(j+2) - u^-(j+2))
+    u = 1 / 0.7 + (1 / 0.49 - 1) ** 0.5
     for j in range(4):
         want = -(u - 1 / u) / (u ** (j + 2) - u ** -(j + 2))
         assert values_close(num.alpha(j), want)
+
+
+def test_single_nontrivial_alphas_stay_finite_for_small_parameters():
+    vs = verblunsky_of(_spec("single_nontrivial", 0.01))
+    for j in range(300):
+        v = vs.alpha(j)
+        assert cmath.isfinite(v) and abs(v) < 1, j
 
 
 def test_rogers_szego_sequence_lives_in_the_square_root_ring():
@@ -244,9 +257,39 @@ def test_single_nontrivial_closed_moments_exact_branch():
 
 
 def test_single_nontrivial_closed_moments_numeric_branch():
-    spec = _spec("single_nontrivial", Fraction(1, 2))
+    spec = _spec("single_nontrivial", 0.7)
     _check_nm(spec, 4, close=True)
     _check_nrs(spec, 3, close=True)
+
+
+def test_single_nontrivial_closed_moments_are_exact_for_rational_a():
+    for a in (1, Fraction(1, 2), Fraction(3, 5), Fraction(2, 7),
+              Fraction(1, 10)):
+        spec = _spec("single_nontrivial", a)
+        vs = verblunsky_of(spec)
+        assert vs.mode == SYMBOLIC
+        for n in range(9):
+            for r in range(4):
+                for s in range(n + r + 1):
+                    assert closed_moment_nrs(spec, n, r, s) == (
+                        moment_lukasiewicz(vs, n, r, s)), (a, n, r, s)
+
+
+def test_geronimus_closed_moments_match_the_path_evaluation():
+    for a, close in ((Fraction(1, 2), False), (Fraction(-1, 3), False),
+                     (1, False), (gauss(Fraction(1, 3), Fraction(-1, 4)), False),
+                     (0.3 + 0.4j, True)):
+        spec = _spec("geronimus", a)
+        vs = verblunsky_of(spec)
+        for n in range(6):
+            for r in range(5):
+                for s in range(n + r + 2):
+                    got = closed_moment_nrs(spec, n, r, s)
+                    want = moment_lukasiewicz(vs, n, r, s)
+                    assert (values_close(got, want) if close
+                            else got == want), (a, n, r, s)
+    assert closed_moment_nrs(_spec("geronimus", Fraction(1, 2)), 3, 2, 1) == (
+        Fraction(45, 256))
 
 
 def test_rogers_szego_closed_moments():
@@ -271,7 +314,7 @@ def test_rogers_szego_numeric_route_matches_exact():
 
 def test_families_without_closed_moments_say_so():
     with pytest.raises(UnsupportedFamily):
-        closed_moment_nm(_spec("geronimus", Fraction(1, 2)), 2, 0)
+        closed_moment_nm(_spec("al_salam_carlitz", Fraction(1, 3)), 2, 0)
     with pytest.raises(UnsupportedFamily):
         closed_moment_nrs(_spec("al_salam_carlitz", Fraction(1, 3)), 2, 0, 0)
 
@@ -284,7 +327,8 @@ def test_width_reduction_for_closed_families():
     for spec in (_spec("bernstein_szego", BS_ZETA),
                  _spec("mass_point", Fraction(1, 2)),
                  _spec("circular_jacobi", Fraction(3, 2)),
-                 _spec("rogers_szego", Fraction(1, 3))):
+                 _spec("rogers_szego", Fraction(1, 3)),
+                 _spec("geronimus", Fraction(1, 2))):
         for n in range(4):
             for r in range(3):
                 for s in range(5):
@@ -476,33 +520,33 @@ FAMILY_DIGESTS = {
     "geronimus(alpha=(1/3-1/4i)) None alphas":
         "4d4cf184f04ce3ce04f73626395fa570c4eb216834e2e7546e6e60b8a18e7816",
     "geronimus(alpha=(1/3-1/4i)) None nm":
-        "308576542fd56e4a5c61bdf6ddacddaa9c0daa3c07a7498e1aecb96ac0038b8d",
+        "4799ecb7f88d5ed3ccb655b84ebf94e0fa3f7ee830cc0d3321a511abfbd86f38",
     "geronimus(alpha=(1/3-1/4i)) None nrs":
-        "09094717a82d115d4f749c1d35bfbbedfdaa9a521716f393e98a49180370dd13",
+        "d9e16deb5cd8a613a210c097d71bafacbdf370d91141085af0a9505ad98b06c1",
     "geronimus(alpha=(1/3-1/4i)) numeric alphas":
         "c592d00a1a358e4bd854318b671fff8010d6b309006aec01adb8d9adbfa48584",
     "geronimus(alpha=(1/3-1/4i)) numeric nm":
-        "308576542fd56e4a5c61bdf6ddacddaa9c0daa3c07a7498e1aecb96ac0038b8d",
+        "daba6b2f1a1af4fd462c90e61a11d0ca9002e84fe8a9aa672280519fc792eec9",
     "geronimus(alpha=(1/3-1/4i)) numeric nrs":
-        "09094717a82d115d4f749c1d35bfbbedfdaa9a521716f393e98a49180370dd13",
+        "4d46e38950972f4c0e859c2cee9dee98392474c59f67c99747a0d75e6133c0c3",
     "geronimus(alpha=(1/3-1/4i)) symbolic alphas":
         "4d4cf184f04ce3ce04f73626395fa570c4eb216834e2e7546e6e60b8a18e7816",
     "geronimus(alpha=(1/3-1/4i)) symbolic nm":
-        "308576542fd56e4a5c61bdf6ddacddaa9c0daa3c07a7498e1aecb96ac0038b8d",
+        "4799ecb7f88d5ed3ccb655b84ebf94e0fa3f7ee830cc0d3321a511abfbd86f38",
     "geronimus(alpha=(1/3-1/4i)) symbolic nrs":
-        "09094717a82d115d4f749c1d35bfbbedfdaa9a521716f393e98a49180370dd13",
+        "d9e16deb5cd8a613a210c097d71bafacbdf370d91141085af0a9505ad98b06c1",
     "geronimus(alpha=(0.3+0.4j)) None alphas":
         "cb9fc26d1097d9a705a2ca98d3dd70e788f9c8b38c8b8273f89e0e3bdd6f0446",
     "geronimus(alpha=(0.3+0.4j)) None nm":
-        "308576542fd56e4a5c61bdf6ddacddaa9c0daa3c07a7498e1aecb96ac0038b8d",
+        "ae97ad3a8b3b4bcbdf110ee25e9bddb67fcb9ef225462bd68bb1ec32facf0603",
     "geronimus(alpha=(0.3+0.4j)) None nrs":
-        "09094717a82d115d4f749c1d35bfbbedfdaa9a521716f393e98a49180370dd13",
+        "46ec9c12da79a2867980ba46e79465cbbae73dcac4fae32db9fdb5902b3c1d35",
     "geronimus(alpha=(0.3+0.4j)) numeric alphas":
         "cb9fc26d1097d9a705a2ca98d3dd70e788f9c8b38c8b8273f89e0e3bdd6f0446",
     "geronimus(alpha=(0.3+0.4j)) numeric nm":
-        "308576542fd56e4a5c61bdf6ddacddaa9c0daa3c07a7498e1aecb96ac0038b8d",
+        "ae97ad3a8b3b4bcbdf110ee25e9bddb67fcb9ef225462bd68bb1ec32facf0603",
     "geronimus(alpha=(0.3+0.4j)) numeric nrs":
-        "09094717a82d115d4f749c1d35bfbbedfdaa9a521716f393e98a49180370dd13",
+        "46ec9c12da79a2867980ba46e79465cbbae73dcac4fae32db9fdb5902b3c1d35",
     "geronimus(alpha=(0.3+0.4j)) symbolic alphas":
         "108fb4f11ab166ebad055aa764b7f1c6dcddd892108a0f5911b35c4dfee8081e",
     "geronimus(alpha=(0.3+0.4j)) symbolic nm":
@@ -624,11 +668,11 @@ FAMILY_DIGESTS = {
     "single_nontrivial(a=1) None nrs":
         "212b51d3590d5551e124931fd33ad9de8a1f2975d1710167204f07a0da58f95d",
     "single_nontrivial(a=1) numeric alphas":
-        "45488d5326e8804e9c605e0fb39da4a38ee57ac94d1e978f838ae453e38e1640",
+        "fe8278b187ad85bf11613b16d07cde8340fb218d47eba4578e72ade63f085e44",
     "single_nontrivial(a=1) numeric nm":
-        "42a755ee01b20ca4362fbc9ee6802530750cbf17bc96428e269c3e82d0f89741",
+        "f45032e6d98c489ffbd88cf691f562bcd6d4fa30a9b07991f821a56d5dff220f",
     "single_nontrivial(a=1) numeric nrs":
-        "d626845f6938921d93b45419640cdf80bb6325218dca8af32c1747d83f19c9a1",
+        "09e63d55c461dc1bc77369c7b9f2d4844165c16ecf7e4dfd668d6aafdf25d6cc",
     "single_nontrivial(a=1) symbolic alphas":
         "7c9236e6456d9bcec5f93c72175ada5cd7eb07b4afcfaf4553e11720e58279a6",
     "single_nontrivial(a=1) symbolic nm":
@@ -636,35 +680,35 @@ FAMILY_DIGESTS = {
     "single_nontrivial(a=1) symbolic nrs":
         "212b51d3590d5551e124931fd33ad9de8a1f2975d1710167204f07a0da58f95d",
     "single_nontrivial(a=1/2) None alphas":
-        "006a124aa55376fe9298f67baf3c5b5ce30af3ccf85c0a1ddaf85d590e036576",
+        "d9825108cfbadef7e6c6a87843b91e38fcf91ee0f873466c5e525b58e5f5b9c6",
     "single_nontrivial(a=1/2) None nm":
-        "b696282d5d01fe28334350b54c4610d934ea34f7c2a986687b6269b8ff3f08fa",
+        "660e621ca5b575c6e4a37497698158d950b01c4e3ed333e498405edb47af90f5",
     "single_nontrivial(a=1/2) None nrs":
-        "70da981a9f11e357ee62af03a3aea2818ee59244b7c7daa6908be1e701d56197",
+        "acf550ac97d8178d0c99dc812d48dcf5edd9ae96f565d9c4b8f21f9c9fbb0630",
     "single_nontrivial(a=1/2) numeric alphas":
-        "006a124aa55376fe9298f67baf3c5b5ce30af3ccf85c0a1ddaf85d590e036576",
+        "45beb33a50b7e2b54ace01385bbe4562c935c5a52a11dc382bb2f20ed74f5fc3",
     "single_nontrivial(a=1/2) numeric nm":
-        "b696282d5d01fe28334350b54c4610d934ea34f7c2a986687b6269b8ff3f08fa",
+        "3ba3a13326d0eacc32e0423ef107a9532b514757074c7a2c5362a0b72b09c946",
     "single_nontrivial(a=1/2) numeric nrs":
-        "70da981a9f11e357ee62af03a3aea2818ee59244b7c7daa6908be1e701d56197",
+        "1bcd4f852d07584c66bfc42fce4eae5fd6cbe3607a61a7ccf5d5b66bed38e4c9",
     "single_nontrivial(a=1/2) symbolic alphas":
-        "a4e91944e6c76ff42fa4ac63063677ce51a313eebaa7ea20f7fed6aeaecc1f17",
+        "d9825108cfbadef7e6c6a87843b91e38fcf91ee0f873466c5e525b58e5f5b9c6",
     "single_nontrivial(a=1/2) symbolic nm":
-        "aec052abd6e9591da4829771f8ed7b6c5a477c806a3fbb5db3b715520f72d4b1",
+        "660e621ca5b575c6e4a37497698158d950b01c4e3ed333e498405edb47af90f5",
     "single_nontrivial(a=1/2) symbolic nrs":
-        "21c1ace2a588cbfec6e58524fdab87911a099bf378a698755ebe13e5ed7c4831",
+        "acf550ac97d8178d0c99dc812d48dcf5edd9ae96f565d9c4b8f21f9c9fbb0630",
     "single_nontrivial(a=0.7) None alphas":
-        "ce03fd4b2a522bfb426905d6628100fb3390aaf40be27985b443ea99f00b9e87",
+        "fef950061ddabd16cab5d5d7fc654532485eb7b499eb91a3d8823c848a7ce56b",
     "single_nontrivial(a=0.7) None nm":
-        "406818b61ac6a935be66514889c0ea6e089ee1fabd119591bc25c5f1aa912ad5",
+        "4f20c5e0efd82ce6ee50b3e9bec5adb30242b270c0aac5a05ab105d24b4152e3",
     "single_nontrivial(a=0.7) None nrs":
-        "490ea1b5e7faaf459824ef954b7523c2eaf8290430e707d0a640fbe7181a1593",
+        "42b130b9f72fa057f7c107c4e55d5531a8ffd293bbe080f83f1d1676469b53a9",
     "single_nontrivial(a=0.7) numeric alphas":
-        "ce03fd4b2a522bfb426905d6628100fb3390aaf40be27985b443ea99f00b9e87",
+        "fef950061ddabd16cab5d5d7fc654532485eb7b499eb91a3d8823c848a7ce56b",
     "single_nontrivial(a=0.7) numeric nm":
-        "406818b61ac6a935be66514889c0ea6e089ee1fabd119591bc25c5f1aa912ad5",
+        "4f20c5e0efd82ce6ee50b3e9bec5adb30242b270c0aac5a05ab105d24b4152e3",
     "single_nontrivial(a=0.7) numeric nrs":
-        "490ea1b5e7faaf459824ef954b7523c2eaf8290430e707d0a640fbe7181a1593",
+        "42b130b9f72fa057f7c107c4e55d5531a8ffd293bbe080f83f1d1676469b53a9",
     "single_nontrivial(a=0.7) symbolic alphas":
         "17a9918ade934d319c77226b358f0de5f5c91325118495b403df8da952dc1f8f",
     "single_nontrivial(a=0.7) symbolic nm":

@@ -57,7 +57,13 @@ GRID = (
        ("moment", "--family", "bernstein_szego", "--param",
         "zeta=1/2+1/3i", "-n", "6", "-s", "2", "--method", "all"),
        ("moment", "--family", "circular_jacobi", "--param", "a=3/2",
-        "-n", "10", "-r", "3", "-s", "2", "--method", "all")]
+        "-n", "10", "-r", "3", "-s", "2", "--method", "all"),
+       # the constant family's closed (n, r, s) form, and the Chebyshev
+       # ratios of the single nontrivial moment at a rational a
+       ("moment", "--family", "geronimus", "--param", "alpha=1/2",
+        "-n", "3", "-r", "2", "-s", "1", "--method", "closed"),
+       ("family", "--name", "single_nontrivial", "--param", "a=1/2",
+        "--count", "4")]
     + [("paths", "--model", model, "-n", n, "-r", r, "-s", s)
        for model, n, r, s in (("lukasiewicz", "3", "1", "1"),
                               ("gmotzkin", "2", "1", "0"),

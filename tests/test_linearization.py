@@ -12,12 +12,13 @@ from opuc.algebra import (SYMBOLIC, LaurentPoly, alpha, alpha_bar, beta_form,
 from opuc.core import VerblunskySequence, moment_oracle, phi
 from opuc.errors import ZeroVerblunsky
 from opuc.families import FamilySpec, verblunsky_of
-from opuc.linearization import (PHI_BASIS, PHI_STAR_BASIS, ExpansionResult,
+from opuc.linearization import (PHI_BASIS, PHI_STAR_BASIS,
                                 expand_in_phi_basis, expand_in_phistar_basis,
                                 expand_moment_basis, phi_to_star_coeff,
-                                phi_to_star_coeff_paths, star_basis_change,
-                                star_overlap_matrix, star_pairing_oracle,
-                                star_to_phi_coeff, star_to_phi_coeff_negative,
+                                phi_to_star_coeff_paths, reconstruct,
+                                star_basis_change, star_overlap_matrix,
+                                star_pairing_oracle, star_to_phi_coeff,
+                                star_to_phi_coeff_negative,
                                 star_to_phi_coeff_paths, star_to_star_coeff,
                                 star_to_star_coeff_paths)
 from opuc.matrices import ScalarMatrix
@@ -39,41 +40,26 @@ def _zero_at(positions, length=8):
 
 
 # ---------------------------------------------------------------------------
-# the coefficient container
-
-
-def test_expansion_result_container():
-    res = ExpansionResult("target", PHI_BASIS, [1, 2, 3])
-    assert len(res) == 3 and res[1] == 2 and list(res) == [1, 2, 3]
-    assert res == [1, 2, 3]
-    assert res == ExpansionResult("other", PHI_BASIS, [1, 2, 3])
-    assert res != ExpansionResult("target", PHI_STAR_BASIS, [1, 2, 3])
-    assert "phi" in repr(res)
-    with pytest.raises(ValueError):
-        ExpansionResult("target", "chebyshev", [1])
-
-
-# ---------------------------------------------------------------------------
 # triangular solves against the two bases
 
 
 def test_basis_expansion_of_basis_elements():
     vs = generic_vs()
     res = expand_in_phi_basis(vs, phi(vs, 2).phi)
-    assert res.coeffs[2] == 1
-    assert res.coeffs[0].is_zero and res.coeffs[1].is_zero
+    assert res[2] == 1
+    assert res[0].is_zero and res[1].is_zero
 
 
 def test_monomial_in_monic_basis():
     vs = generic_vs()
     z = LaurentPoly({1: vs.one()}, vs.mode)
     res = expand_in_phi_basis(vs, z)
-    assert res.coeffs == [alpha_bar(0), vs.one()]
+    assert res == [alpha_bar(0), vs.one()]
 
 
 def test_empty_and_invalid_targets():
     vs = generic_vs()
-    assert expand_in_phi_basis(vs, vs.zero() * phi(vs, 0).phi).coeffs == []
+    assert expand_in_phi_basis(vs, vs.zero() * phi(vs, 0).phi) == []
     laurent = phi(vs, 1).phi.shift(-1)
     with pytest.raises(ValueError):
         expand_in_phi_basis(vs, laurent)
@@ -86,8 +72,8 @@ def test_monomial_in_reversed_basis():
     z = LaurentPoly({1: vs.one()}, vs.mode)
     res = expand_in_phistar_basis(vs, z, 1)
     inv = vs.one() / alpha(0)
-    assert res.coeffs == [inv, -inv]
-    assert res.reconstruct(vs) == z
+    assert res == [inv, -inv]
+    assert reconstruct(vs, PHI_STAR_BASIS, res) == z
 
 
 def test_reversed_basis_needs_nonzero_alphas():
@@ -229,7 +215,7 @@ def test_monic_target_monic_basis_roundtrip():
             target = _shifted(vs, n, r, False)
             res = expand_in_phi_basis(vs, target)
             for s in range(n + r + 1):
-                assert res.coeffs[s] == conjugate(
+                assert res[s] == conjugate(
                     moment_lukasiewicz(vs, n, r, s)), (n, r, s)
 
 
@@ -240,7 +226,7 @@ def test_reversed_target_monic_basis_roundtrip():
             target = _shifted(vs, n, r, True)
             coeffs = [conjugate(star_to_phi_coeff(vs, n, r, s))
                       for s in range(n + r + 1)]
-            rebuilt = ExpansionResult(target, PHI_BASIS, coeffs).reconstruct(vs)
+            rebuilt = reconstruct(vs, PHI_BASIS, coeffs)
             assert rebuilt == target, (n, r)
 
 
@@ -251,11 +237,10 @@ def test_monic_target_reversed_basis_roundtrip():
             target = _shifted(vs, n, r, False)
             coeffs = [conjugate(phi_to_star_coeff(vs, n, r, s))
                       for s in range(n + r + 1)]
-            rebuilt = ExpansionResult(target, PHI_STAR_BASIS,
-                                      coeffs).reconstruct(vs)
+            rebuilt = reconstruct(vs, PHI_STAR_BASIS, coeffs)
             assert rebuilt == target, (n, r)
             solved = expand_in_phistar_basis(vs, target, n + r)
-            assert solved.coeffs == coeffs, (n, r)
+            assert solved == coeffs, (n, r)
 
 
 def test_reversed_target_reversed_basis_roundtrip():
@@ -265,8 +250,7 @@ def test_reversed_target_reversed_basis_roundtrip():
             target = _shifted(vs, n, r, True)
             coeffs = [conjugate(star_to_star_coeff(vs, n, r, s))
                       for s in range(n + r + 1)]
-            rebuilt = ExpansionResult(target, PHI_STAR_BASIS,
-                                      coeffs).reconstruct(vs)
+            rebuilt = reconstruct(vs, PHI_STAR_BASIS, coeffs)
             assert rebuilt == target, (n, r)
 
 
@@ -284,8 +268,15 @@ def test_roundtrips_numeric(n, r, starred_target, starred_basis, seed):
     }[(starred_target, starred_basis)]
     basis = PHI_STAR_BASIS if starred_basis else PHI_BASIS
     coeffs = [conjugate(coeff_of(vs, n, r, s)) for s in range(n + r + 1)]
-    rebuilt = ExpansionResult(target, basis, coeffs).reconstruct(vs)
+    rebuilt = reconstruct(vs, basis, coeffs)
     assert _polys_close(rebuilt, target)
+
+
+def test_reconstruct_rejects_unknown_basis():
+    vs = generic_vs()
+    assert reconstruct(vs, PHI_BASIS, []) == LaurentPoly({}, vs.mode)
+    with pytest.raises(ValueError):
+        reconstruct(vs, "chebyshev", [1])
 
 
 def test_expand_moment_basis_collects_all_four():
@@ -297,8 +288,7 @@ def test_expand_moment_basis_collects_all_four():
     for (target_tag, basis), coeffs in out.items():
         assert len(coeffs) == n + r + 1
         target = _shifted(vs, n, r, target_tag == "phi_star")
-        rebuilt = ExpansionResult(
-            target, basis, [conjugate(c) for c in coeffs]).reconstruct(vs)
+        rebuilt = reconstruct(vs, basis, [conjugate(c) for c in coeffs])
         assert rebuilt == target, (target_tag, basis)
 
 
