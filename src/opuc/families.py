@@ -254,11 +254,9 @@ def closed_moment_nrs(spec, n, r, s, mode=None):
         # the (n + i, s) moments weighted by the family's own degree-r
         # coefficients, conjugated
         a = _scalar(spec, mode)
-        total = 0
-        for i in range(r + 1):
-            total = total + (conjugate(geronimus_phi_coeff(a, r, i))
-                             * geronimus_gf_moment(a, n + i, s))
-        return as_mode_scalar(total, mode)
+        return as_mode_scalar(sum(conjugate(geronimus_phi_coeff(a, r, i))
+                                  * geronimus_gf_moment(a, n + i, s)
+                                  for i in range(r + 1)), mode)
     if tag == "bernstein_szego":
         if r == 0:
             return closed_moment_nm(spec, n, s, mode)

@@ -276,9 +276,9 @@ def test_single_nontrivial_closed_moments_are_exact_for_rational_a():
 
 
 def test_geronimus_closed_moments_match_the_path_evaluation():
-    for a, close in ((Fraction(1, 2), False), (Fraction(-1, 3), False),
-                     (1, False), (gauss(Fraction(1, 3), Fraction(-1, 4)), False),
-                     (0.3 + 0.4j, True)):
+    exact = (Fraction(1, 2), Fraction(-1, 3), 1,
+             gauss(Fraction(1, 3), Fraction(-1, 4)))
+    for a, close in [(a, False) for a in exact] + [(0.3 + 0.4j, True)]:
         spec = _spec("geronimus", a)
         vs = verblunsky_of(spec)
         for n in range(6):
@@ -462,8 +462,8 @@ def test_constant_family_polynomial_coefficients_complex():
 # ---------------------------------------------------------------------------
 # the bits of every family's outputs
 
-# one exact and one float parameter per family, and the exact parameter
-# that has only a numeric sequence
+# one exact and one float parameter per family, and a second exact
+# single nontrivial parameter, a != 1
 PINNED_SPECS = [
     ("geronimus", GaussianRational(Fraction(1, 3), Fraction(-1, 4))),
     ("geronimus", 0.3 + 0.4j),
